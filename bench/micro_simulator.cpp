@@ -106,7 +106,8 @@ BENCHMARK(BM_ChipSim20sCycles);
  * chip spends most of its time with every context stalled on a DRAM
  * fill, so nearly every cycle is skippable. The strict variant pins the
  * fast-forward off to measure the baseline on the same run() path; their
- * items/sec ratio is the fast-forward speedup tracked in BENCH_sim.json.
+ * items/sec ratio is the wall-clock fast-forward speedup, and ff_cycles
+ * counts the core-cycles the fast variant elided.
  */
 void
 runChipSimMcf20s(benchmark::State &state, bool fast_forward,
@@ -140,9 +141,10 @@ BM_ChipSimFastForwardMcf20s(benchmark::State &state)
     runChipSimMcf20s(state, true);
 }
 // Pinned iteration counts make both variants simulate the exact same
-// global-cycle window — from cycle 0, like every study-engine run — so
-// their items/sec ratio (the fast-forward speedup) is deterministic and
-// free of program-phase sampling bias.
+// global-cycle window — from cycle 0, like every study-engine run — free
+// of program-phase sampling bias. ff_cycles is then a deterministic count:
+// CI gates on the elided share ff_cycles / (20 cores x 256 x 4096 cycles)
+// >= 0.95 and only reports the items/sec ratio, which host load moves.
 BENCHMARK(BM_ChipSimFastForwardMcf20s)->Iterations(256);
 
 void

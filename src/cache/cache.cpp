@@ -7,7 +7,10 @@ namespace smtflex {
 SetAssocCache::SetAssocCache(std::string name, const CacheGeometry &geometry)
     : name_(std::move(name)), geometry_(geometry)
 {
-    if (geometry_.lineSize == 0 || geometry_.assoc == 0)
+    if (!geometry_.lineSizeValid())
+        fatal("cache ", name_, ": lineSize must be a power of two (got ",
+              geometry_.lineSize, ")");
+    if (geometry_.assoc == 0)
         fatal("cache ", name_, ": bad geometry");
     if (geometry_.sizeBytes % geometry_.lineSize != 0)
         fatal("cache ", name_, ": size not a multiple of line size");
@@ -16,23 +19,19 @@ SetAssocCache::SetAssocCache(std::string name, const CacheGeometry &geometry)
     numSets_ = geometry_.numSets();
     if (numSets_ == 0)
         fatal("cache ", name_, ": zero sets");
-    lines_.resize(numSets_ * geometry_.assoc);
-}
-
-std::uint64_t
-SetAssocCache::setIndex(Addr line_addr) const
-{
+    lineShift_ = static_cast<std::uint32_t>(
+        std::countr_zero(geometry_.lineSize));
     // Modulo placement supports non-power-of-two set counts (6 KB, 48 KB
-    // caches in Table 1).
-    return (line_addr / geometry_.lineSize) % numSets_;
+    // caches in Table 1); the mask is the same function when it exists.
+    pow2Sets_ = std::has_single_bit(numSets_);
+    lines_.resize(numSets_ * geometry_.assoc);
 }
 
 CacheAccessResult
 SetAssocCache::access(Addr addr, bool is_write, bool mark_prefetched)
 {
-    const Addr line_addr = addr / geometry_.lineSize;
-    const std::uint64_t set = setIndex(addr);
-    Line *const base = &lines_[set * geometry_.assoc];
+    const Addr line_addr = addr >> lineShift_;
+    Line *const base = &lines_[firstWay(line_addr)];
 
     ++stats_.accesses;
     ++lruClock_;
@@ -63,7 +62,7 @@ SetAssocCache::access(Addr addr, bool is_write, bool mark_prefetched)
         if (victim->dirty) {
             ++stats_.writebacks;
             result.writeback = true;
-            result.victimAddr = victim->tag * geometry_.lineSize;
+            result.victimAddr = victim->tag << lineShift_;
         }
     }
     victim->valid = true;
@@ -77,9 +76,8 @@ SetAssocCache::access(Addr addr, bool is_write, bool mark_prefetched)
 void
 SetAssocCache::install(Addr addr)
 {
-    const Addr line_addr = addr / geometry_.lineSize;
-    const std::uint64_t set = setIndex(addr);
-    Line *const base = &lines_[set * geometry_.assoc];
+    const Addr line_addr = addr >> lineShift_;
+    Line *const base = &lines_[firstWay(line_addr)];
     ++lruClock_;
 
     Line *victim = base;
@@ -102,12 +100,48 @@ SetAssocCache::install(Addr addr)
     victim->lruStamp = lruClock_;
 }
 
+SetAssocCache::ColdFill::ColdFill(SetAssocCache &cache,
+                                  std::uint64_t installs)
+    : cache_(cache), stamp_(installs)
+{
+    // Every access and install advances the clock, so a zero clock means
+    // every line is still the constructor's invalid one.
+    if (cache_.lruClock_ != 0)
+        fatal("cache ", cache_.name_, ": cold fill of a touched cache");
+    cache_.lruClock_ = installs;
+}
+
+void
+SetAssocCache::ColdFill::prepend(Addr addr)
+{
+    if (stamp_ == 0)
+        panic("cache ", cache_.name_, ": cold fill past its install count");
+    const std::uint64_t stamp = stamp_--;
+    const std::uint32_t assoc = cache_.geometry_.assoc;
+    const Addr line_addr = addr >> cache_.lineShift_;
+    Line *const base = &cache_.lines_[cache_.firstWay(line_addr)];
+    // Ways fill in index order, so the last one is valid iff the set
+    // already holds its `assoc` newest lines: this one was evicted.
+    if (base[assoc - 1].valid)
+        return;
+    for (std::uint32_t way = 0; way < assoc; ++way) {
+        Line &line = base[way];
+        if (!line.valid) {
+            line.valid = true;
+            line.tag = line_addr;
+            line.lruStamp = stamp;
+            return;
+        }
+        if (line.tag == line_addr)
+            return; // a later install of this line set its stamp
+    }
+}
+
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    const Addr line_addr = addr / geometry_.lineSize;
-    const std::uint64_t set = setIndex(addr);
-    const Line *const base = &lines_[set * geometry_.assoc];
+    const Addr line_addr = addr >> lineShift_;
+    const Line *const base = &lines_[firstWay(line_addr)];
     for (std::uint32_t way = 0; way < geometry_.assoc; ++way) {
         if (base[way].valid && base[way].tag == line_addr)
             return true;

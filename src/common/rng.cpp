@@ -18,12 +18,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream)
@@ -38,37 +32,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
         s_[0] = 1;
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 top bits -> [0, 1) with full double precision.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::nextRange(std::uint64_t bound)
-{
-    assert(bound > 0);
-    // Multiply-shift range reduction; bias is negligible for our bounds
-    // (all far below 2^48) and determinism is what matters here.
-    unsigned __int128 product = static_cast<unsigned __int128>(next()) * bound;
-    return static_cast<std::uint64_t>(product >> 64);
-}
-
 std::int64_t
 Rng::nextInt(std::int64_t lo, std::int64_t hi)
 {
@@ -77,27 +40,22 @@ Rng::nextInt(std::int64_t lo, std::int64_t hi)
         nextRange(static_cast<std::uint64_t>(hi - lo) + 1));
 }
 
-bool
-Rng::nextBool(double p)
+// Support {1, 2, ...}: success probability p = 1/mean, log1p(-p) is the
+// inverse CDF's divisor.
+Rng::Geometric::Geometric(double mean)
+    : mean(mean), logQ(std::log1p(-(1.0 / mean)))
 {
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
 }
 
 std::uint32_t
-Rng::nextGeometric(double mean)
+Rng::nextGeometric(const Geometric &dist)
 {
-    assert(mean >= 1.0);
-    if (mean == 1.0)
+    assert(dist.mean >= 1.0);
+    if (dist.mean == 1.0)
         return 1;
-    // Support {1, 2, ...}: success probability p = 1/mean.
-    const double p = 1.0 / mean;
     const double u = nextDouble();
     // Inverse CDF; u == 0 maps to 1.
-    const double v = std::log1p(-u) / std::log1p(-p);
+    const double v = std::log1p(-u) / dist.logQ;
     double k = std::floor(v) + 1.0;
     if (k < 1.0)
         k = 1.0;

@@ -76,6 +76,10 @@ ChipConfig::validate() const
         fatal("ChipConfig ", name, ": llc.sizeBytes must be > 0");
     if (llc.assoc == 0)
         fatal("ChipConfig ", name, ": llc.assoc must be > 0");
+    if (!llc.lineSizeValid())
+        fatal("ChipConfig ", name,
+              ": llc.lineSize must be a power of two (got ", llc.lineSize,
+              ")");
     if (llc.numLines() % llc.assoc != 0)
         fatal("ChipConfig ", name, ": bad LLC geometry (", llc.sizeBytes,
               " bytes not divisible into ", llc.assoc, "-way sets)");

@@ -293,49 +293,70 @@ ChipSim::run(Cycle cycles)
 void
 ChipSim::warmAllCaches(const std::vector<WarmSpec> &specs)
 {
-    // Gather each thread's resident lines (coldest/largest regions first,
-    // hottest last — forEachResidentLine's order).
-    struct WarmLine
+    // Each thread's resident lines (coldest/largest regions first, hottest
+    // last — forEachResidentLine's order), and every cache's install
+    // count: the LLC takes every line, a core's L2 its threads' lines and
+    // its L1I/L1D their code/data lines.
+    struct Thread
     {
-        Addr addr;
-        bool isCode;
+        std::vector<ResidentRun> runs;
+        std::uint64_t lines = 0;
+        /** Backward cursor: the next line is line k - 1 of runs[run]
+         * (k == 0 steps back to the previous run). */
+        std::size_t run = 0;
+        std::uint64_t k = 0;
     };
-    std::vector<std::vector<WarmLine>> lines(specs.size());
+    std::vector<Thread> threads(specs.size());
+    std::vector<std::uint64_t> code_lines(cores_.size(), 0);
+    std::vector<std::uint64_t> data_lines(cores_.size(), 0);
+    std::uint64_t llc_lines = 0;
+    std::size_t chunks = 0;
+    constexpr std::size_t kChunkLines = 128;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        TraceGenerator::forEachResidentLine(
-            *specs[i].profile, specs[i].space, config_.llc.sizeBytes,
-            [&](Addr addr, bool is_code) {
-                lines[i].push_back({addr, is_code});
-            });
+        Thread &t = threads[i];
+        t.runs = TraceGenerator::residentRuns(
+            *specs[i].profile, specs[i].space, config_.llc.sizeBytes);
+        for (const ResidentRun &run : t.runs) {
+            (run.isCode ? code_lines : data_lines).at(specs[i].core) +=
+                run.count;
+            t.lines += run.count;
+        }
+        t.run = t.runs.size();
+        llc_lines += t.lines;
+        chunks = std::max<std::size_t>(
+            chunks, (t.lines + kChunkLines - 1) / kChunkLines);
     }
 
-    // Interleaved installation, chunked to amortise the loop overhead.
-    constexpr std::size_t kChunkLines = 128;
-    bool more = true;
-    for (std::size_t chunk = 0; more; ++chunk) {
-        more = false;
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            const std::size_t begin = chunk * kChunkLines;
-            if (begin >= lines[i].size())
+    // The install order interleaves the threads chunk by chunk (chunk 0
+    // of every thread, then chunk 1, ...), so that LLC capacity pressure
+    // evicts every thread's coldest lines evenly. The cold fills take each
+    // cache's share of it newest-first, so walk it backwards. They fail
+    // loudly unless every cache of the chip is still untouched.
+    SetAssocCache::ColdFill llc = shared_.llcColdFill(llc_lines);
+    std::vector<PrivateHierarchy::ColdFill> fills;
+    fills.reserve(cores_.size());
+    for (std::size_t c = 0; c < cores_.size(); ++c)
+        fills.emplace_back(cores_[c]->hierarchy(), code_lines[c],
+                           data_lines[c]);
+    for (std::size_t chunk = chunks; chunk-- > 0;) {
+        for (std::size_t i = specs.size(); i-- > 0;) {
+            Thread &t = threads[i];
+            const std::uint64_t begin = chunk * kChunkLines;
+            if (begin >= t.lines)
                 continue;
-            const std::size_t end =
-                std::min(begin + kChunkLines, lines[i].size());
-            Core &target = *cores_.at(specs[i].core);
-            for (std::size_t k = begin; k < end; ++k) {
-                target.hierarchy().warmLine(lines[i][k].addr,
-                                            lines[i][k].isCode, true);
-                shared_.warmLine(lines[i][k].addr);
+            PrivateHierarchy::ColdFill &fill = fills[specs[i].core];
+            for (std::uint64_t n = std::min<std::uint64_t>(
+                     kChunkLines, t.lines - begin);
+                 n > 0; --n) {
+                while (t.k == 0)
+                    t.k = t.runs[--t.run].count;
+                const ResidentRun &run = t.runs[t.run];
+                const Addr addr = run.at(--t.k);
+                fill.prepend(addr, run.isCode);
+                llc.prepend(addr);
             }
-            more = true;
         }
     }
-}
-
-void
-ChipSim::warmThreadCaches(std::uint32_t core, const BenchmarkProfile &profile,
-                          const AddressSpace &space)
-{
-    warmAllCaches({WarmSpec{&profile, space, core}});
 }
 
 void

@@ -229,12 +229,12 @@ class ChipSim
      * capacity pressure evicts every thread's coldest lines evenly rather
      * than wiping out whichever thread was installed first. Streaming and
      * larger-than-LLC regions are skipped — missing is their steady state.
+     *
+     * Warms a fresh chip: fails loudly (FatalError) when any cache has
+     * been touched. The result equals per-line SetAssocCache::install()
+     * in that order, built as a cold fill (SetAssocCache::ColdFill).
      */
     void warmAllCaches(const std::vector<WarmSpec> &specs);
-
-    /** Convenience wrapper for a single thread. */
-    void warmThreadCaches(std::uint32_t core, const BenchmarkProfile &profile,
-                          const AddressSpace &space);
 
     /**
      * Run a multi-program workload to completion: every thread executes its

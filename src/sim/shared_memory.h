@@ -34,6 +34,12 @@ class SharedMemory : public MemorySystem
 
     /** Functional warmup: install @p addr into the LLC (no stats). */
     void warmLine(Addr addr) { llc_.install(addr); }
+    /** Functional warmup of the untouched LLC with @p installs lines fed
+     * newest-first (see SetAssocCache::ColdFill). */
+    SetAssocCache::ColdFill llcColdFill(std::uint64_t installs)
+    {
+        return SetAssocCache::ColdFill(llc_, installs);
+    }
 
     const SetAssocCache &llc() const { return llc_; }
     const DramModel &dram() const { return dram_; }

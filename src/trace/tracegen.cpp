@@ -65,7 +65,8 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
                                std::uint64_t seed, std::uint64_t stream,
                                const AddressSpace &space)
     : profile_(&profile), seed_(seed), stream_(stream), space_(space),
-      rng_(seed, stream), streamCursor_(profile.regions.size(), 0)
+      rng_(seed, stream), depDist_(profile.meanDepDist),
+      streamCursor_(profile.regions.size(), 0)
 {
     profile.validate();
     const InstrMix &mix = profile.mix;
@@ -149,6 +150,18 @@ TraceGenerator::forEachResidentLine(
     std::uint64_t max_region_bytes,
     const std::function<void(Addr, bool)> &visit)
 {
+    for (const ResidentRun &run :
+         residentRuns(profile, space, max_region_bytes)) {
+        for (std::uint64_t k = 0; k < run.count; ++k)
+            visit(run.at(k), run.isCode);
+    }
+}
+
+std::vector<ResidentRun>
+TraceGenerator::residentRuns(const BenchmarkProfile &profile,
+                             const AddressSpace &space,
+                             std::uint64_t max_region_bytes)
+{
     // Largest qualifying region first, so the hottest (smallest) regions
     // end up most recently used after installation.
     std::vector<std::size_t> order;
@@ -160,28 +173,30 @@ TraceGenerator::forEachResidentLine(
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         return profile.regions[a].bytes > profile.regions[b].bytes;
     });
+    std::vector<ResidentRun> runs;
     for (const std::size_t idx : order) {
         const MemRegion &region = profile.regions[idx];
         // Lines are visited from the cold (high) end down to the hot (low)
         // end, so after LRU installation the hottest lines are the most
         // recently used. Threads with partially shared data touch both
         // placements.
-        if (space.sharedProb > 0.0) {
-            const Addr shared = jitteredRegionBase(space.sharedBase, idx);
-            for (Addr offset = region.bytes; offset >= kLineSize;
-                 offset -= kLineSize)
-                visit(shared + offset - kLineSize, false);
-        }
-        if (space.sharedProb < 1.0) {
-            const Addr base = jitteredRegionBase(space.privateBase, idx);
-            for (Addr offset = region.bytes; offset >= kLineSize;
-                 offset -= kLineSize)
-                visit(base + offset - kLineSize, false);
-        }
+        const auto cold_to_hot = [&](Addr base) {
+            runs.push_back({.first = base + region.bytes - kLineSize,
+                            .step = -std::int64_t{kLineSize},
+                            .count = region.bytes / kLineSize,
+                            .isCode = false});
+        };
+        if (space.sharedProb > 0.0)
+            cold_to_hot(jitteredRegionBase(space.sharedBase, idx));
+        if (space.sharedProb < 1.0)
+            cold_to_hot(jitteredRegionBase(space.privateBase, idx));
     }
-    for (Addr offset = 0; offset < profile.codeFootprint;
-         offset += kLineSize)
-        visit(space.privateBase + offset, true);
+    runs.push_back({.first = space.privateBase,
+                    .step = std::int64_t{kLineSize},
+                    .count = (profile.codeFootprint + kLineSize - 1) /
+                        kLineSize,
+                    .isCode = true});
+    return runs;
 }
 
 MicroOp
@@ -206,7 +221,7 @@ TraceGenerator::next()
 
     // Register dependency distance.
     if (!rng_.nextBool(profile_->depNoneProb)) {
-        const std::uint32_t dist = rng_.nextGeometric(profile_->meanDepDist);
+        const std::uint32_t dist = rng_.nextGeometric(depDist_);
         op.depDist = static_cast<std::uint8_t>(std::min<std::uint32_t>(
             dist, 255));
     }

@@ -40,6 +40,22 @@ struct AddressSpace
     static AddressSpace forThread(std::uint32_t global_thread_id);
 };
 
+/** @p count line addresses of a thread's resident working set, @p step
+ * bytes apart from @p first (negative: walking a region from its cold end
+ * down to its hot end). */
+struct ResidentRun
+{
+    Addr first = 0;
+    std::int64_t step = 0;
+    std::uint64_t count = 0;
+    bool isCode = false;
+
+    Addr at(std::uint64_t k) const
+    {
+        return first + static_cast<Addr>(step) * k;
+    }
+};
+
 /**
  * Generates the dynamic micro-op stream of one simulated software thread.
  *
@@ -110,6 +126,11 @@ class TraceGenerator
                         std::uint64_t max_region_bytes,
                         const std::function<void(Addr, bool)> &visit);
 
+    /** The lines forEachResidentLine visits, in its order, as runs. */
+    static std::vector<ResidentRun>
+    residentRuns(const BenchmarkProfile &profile, const AddressSpace &space,
+                 std::uint64_t max_region_bytes);
+
   private:
     Addr regionBase(std::size_t region_idx, bool shared) const;
     Addr nextDataAddr();
@@ -120,6 +141,8 @@ class TraceGenerator
     AddressSpace space_;
 
     Rng rng_;
+    /** Dependency distances: geometric with the profile's mean. */
+    Rng::Geometric depDist_;
     /** Per-region streaming cursors (private copy of region walk state). */
     std::vector<std::uint64_t> streamCursor_;
     /** Current fetch address. */

@@ -31,6 +31,19 @@ Core::Core(const CoreParams &params, std::uint32_t core_id,
     contexts_.resize(num_contexts);
     for (auto &ctx : contexts_)
         ctx.rob.resize(queue_capacity);
+    countActiveContexts();
+}
+
+void
+Core::countActiveContexts()
+{
+    activeContexts_ = 0;
+    for (const auto &ctx : contexts_)
+        activeContexts_ += (ctx.thread != nullptr);
+    // Static partitioning among the contexts that currently have threads
+    // (Raasch & Reinhardt); a lone thread gets the whole window.
+    const std::uint32_t share = params_.robSize / std::max(1u, activeContexts_);
+    robPartition_ = std::max(4u, share);
 }
 
 void
@@ -43,6 +56,7 @@ Core::attachThread(std::uint32_t slot, ThreadSource *thread)
     if (!thread)
         fatal("Core ", params_.name, ": attach of null thread");
     contexts_[slot].thread = thread;
+    countActiveContexts();
 }
 
 ThreadSource *
@@ -59,6 +73,7 @@ Core::detachThread(std::uint32_t slot)
         old->onStagedOpDropped();
     ctx.hasStaged = false;
     ctx.stagedFetchDone = false;
+    countActiveContexts();
     return old;
 }
 
@@ -68,15 +83,6 @@ Core::threadAt(std::uint32_t slot) const
     if (slot >= contexts_.size())
         fatal("Core ", params_.name, ": bad slot ", slot);
     return contexts_[slot].thread;
-}
-
-std::uint32_t
-Core::activeContexts() const
-{
-    std::uint32_t n = 0;
-    for (const auto &ctx : contexts_)
-        n += (ctx.thread != nullptr);
-    return n;
 }
 
 bool
@@ -171,17 +177,22 @@ Core::retireCycle(std::uint32_t budget)
 {
     std::uint32_t retired = 0;
     const std::uint32_t n = numContexts();
-    const std::uint32_t start = retireRotor_++ % n;
+    // The rotor's own `% n` stays: it wraps at 2^32 and skipTicks()
+    // advances it in bulk.
+    std::uint32_t c = retireRotor_++ % n;
     for (std::uint32_t k = 0; k < n && retired < budget; ++k) {
-        Context &ctx = contexts_[(start + k) % n];
+        Context &ctx = contexts_[c];
+        if (++c == n)
+            c = 0;
+        const auto capacity = static_cast<std::uint32_t>(ctx.rob.size());
         while (retired < budget && ctx.robCount > 0) {
             InFlightOp &head = ctx.rob[ctx.robHead];
             if (head.completion > coreNow_)
                 break; // in-order retirement: head blocks the rest
             if (head.thread)
                 head.thread->onRetire(globalNow_);
-            ctx.robHead = (ctx.robHead + 1) %
-                static_cast<std::uint32_t>(ctx.rob.size());
+            if (++ctx.robHead == capacity)
+                ctx.robHead = 0;
             --ctx.robCount;
             ++retired;
         }
@@ -196,20 +207,13 @@ Core::pushInFlight(Context &ctx, Cycle completion)
     const auto capacity = static_cast<std::uint32_t>(ctx.rob.size());
     if (ctx.robCount >= capacity)
         panic("Core ", params_.name, ": retirement queue overflow");
-    const std::uint32_t tail = (ctx.robHead + ctx.robCount) % capacity;
+    // robHead < capacity and robCount < capacity: one wrap at most.
+    std::uint32_t tail = ctx.robHead + ctx.robCount;
+    if (tail >= capacity)
+        tail -= capacity;
     ctx.rob[tail].completion = completion;
     ctx.rob[tail].thread = ctx.thread;
     ++ctx.robCount;
-}
-
-std::uint32_t
-Core::robPartitionSize() const
-{
-    // Static partitioning among the contexts that currently have threads
-    // (Raasch & Reinhardt); a lone thread gets the whole window.
-    const std::uint32_t active = std::max(1u, activeContexts());
-    const std::uint32_t share = params_.robSize / active;
-    return std::max(4u, share);
 }
 
 Cycle
@@ -364,6 +368,7 @@ Core::loadState(
             op.thread = oidx == kNoThread ? nullptr : thread_at(oidx);
         }
     }
+    countActiveContexts();
     loadDerived(r);
 }
 

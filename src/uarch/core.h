@@ -107,7 +107,7 @@ class Core : public telemetry::StatsProvider<CoreStats>
     ThreadSource *threadAt(std::uint32_t slot) const;
 
     /** Number of contexts with a thread attached. */
-    std::uint32_t activeContexts() const;
+    std::uint32_t activeContexts() const { return activeContexts_; }
 
     /** True when no thread is attached and no op is in flight. */
     bool quiescent() const;
@@ -267,7 +267,7 @@ class Core : public telemetry::StatsProvider<CoreStats>
     void pushInFlight(Context &ctx, Cycle completion);
 
     /** ROB partition size given current active contexts (>= 4). */
-    std::uint32_t robPartitionSize() const;
+    std::uint32_t robPartitionSize() const { return robPartition_; }
 
     /** Convert a future core-cycle ready time to a global cycle. */
     Cycle globalFromCore(Cycle core_future) const;
@@ -294,6 +294,15 @@ class Core : public telemetry::StatsProvider<CoreStats>
     /** Round-robin rotors. */
     std::uint32_t fetchRotor_ = 0;
     std::uint32_t retireRotor_ = 0;
+
+  private:
+    /** Recount the attached threads after a context's thread changed. */
+    void countActiveContexts();
+
+    /** Contexts with a thread attached, and the ROB partition it gives:
+     * kept by attach, detach and loadState. */
+    std::uint32_t activeContexts_ = 0;
+    std::uint32_t robPartition_ = 0;
 };
 
 /** Construct the matching model (OooCore or InOrderCore) for @p params. */

@@ -123,6 +123,10 @@ validateGeometry(const std::string &core, const char *which,
         fatal("CoreParams ", core, ": ", which, ".sizeBytes must be > 0");
     if (geometry.assoc == 0)
         fatal("CoreParams ", core, ": ", which, ".assoc must be > 0");
+    if (!geometry.lineSizeValid())
+        fatal("CoreParams ", core, ": ", which,
+              ".lineSize must be a power of two (got ", geometry.lineSize,
+              ")");
     if (geometry.numLines() < geometry.assoc)
         fatal("CoreParams ", core, ": ", which,
               " smaller than one set (", geometry.sizeBytes, " bytes, ",

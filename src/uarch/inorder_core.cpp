@@ -175,9 +175,11 @@ InOrderCore::coreCycle()
     // Barrel scheduling: rotate every cycle; the first ready context wins
     // the whole issue group this cycle.
     const std::uint32_t n = numContexts();
-    const std::uint32_t start = fetchRotor_++ % n;
+    std::uint32_t c = fetchRotor_++ % n;
     for (std::uint32_t k = 0; k < n; ++k) {
-        Context &ctx = contexts_[(start + k) % n];
+        Context &ctx = contexts_[c];
+        if (++c == n)
+            c = 0;
         if (!ctx.thread && !ctx.hasStaged)
             continue;
         if (ctx.stallUntil > coreNow_)

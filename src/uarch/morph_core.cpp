@@ -197,11 +197,13 @@ MorphCore::oooCycle()
     resetFuBudgets();
     std::uint32_t budget = params_.width;
     const std::uint32_t n = numContexts();
-    const std::uint32_t start = fetchRotor_++ % n;
+    std::uint32_t c = fetchRotor_++ % n;
     bool dispatched_any = false;
 
     for (std::uint32_t k = 0; k < n && budget > 0; ++k) {
-        Context &ctx = contexts_[(start + k) % n];
+        Context &ctx = contexts_[c];
+        if (++c == n)
+            c = 0;
         if (!ctx.thread && !ctx.hasStaged)
             continue;
         const std::uint32_t partition = robPartitionSize();
@@ -417,9 +419,11 @@ void
 MorphCore::inOrderCycle()
 {
     const std::uint32_t n = numContexts();
-    const std::uint32_t start = fetchRotor_++ % n;
+    std::uint32_t c = fetchRotor_++ % n;
     for (std::uint32_t k = 0; k < n; ++k) {
-        Context &ctx = contexts_[(start + k) % n];
+        Context &ctx = contexts_[c];
+        if (++c == n)
+            c = 0;
         if (!ctx.thread && !ctx.hasStaged)
             continue;
         if (ctx.stallUntil > coreNow_)

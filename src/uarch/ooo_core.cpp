@@ -248,9 +248,12 @@ OooCore::coreCycle()
             order[j] = v;
         }
     } else {
-        const std::uint32_t start = fetchRotor_++ % n;
-        for (std::uint32_t i = 0; i < n; ++i)
-            order[i] = (start + i) % n;
+        std::uint32_t c = fetchRotor_++ % n;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            order[i] = c;
+            if (++c == n)
+                c = 0;
+        }
     }
 
     bool dispatched_any = false;

@@ -140,14 +140,6 @@ PrivateHierarchy::instrAccess(Cycle now, Addr addr)
 }
 
 void
-PrivateHierarchy::warmLine(Addr addr, bool is_instr, bool also_l1)
-{
-    l2_.install(addr);
-    if (also_l1)
-        (is_instr ? l1i_ : l1d_).install(addr);
-}
-
-void
 PrivateHierarchy::invalidateAll()
 {
     l1i_.invalidateAll();

@@ -91,12 +91,31 @@ class PrivateHierarchy
     void invalidateAll();
 
     /**
-     * Functional warmup: install @p addr into the private levels it would
-     * be resident in (L2 always; L1 only when the line plausibly fits,
-     * i.e. the owning region is small — the caller decides via
-     * @p also_l1). Zero simulated time, no statistics.
+     * Functional warmup of an untouched hierarchy, fed newest-first (see
+     * SetAssocCache::ColdFill): every line goes to the L2 and to the L1I
+     * (code) or L1D (data). Zero simulated time, no statistics.
      */
-    void warmLine(Addr addr, bool is_instr, bool also_l1);
+    class ColdFill
+    {
+      public:
+        /** Start the fill for @p code_lines code and @p data_lines data
+         * installs; fails loudly when any of the caches was touched. */
+        ColdFill(PrivateHierarchy &h, std::uint64_t code_lines,
+                 std::uint64_t data_lines)
+            : l1i_(h.l1i_, code_lines), l1d_(h.l1d_, data_lines),
+              l2_(h.l2_, code_lines + data_lines)
+        {
+        }
+
+        void prepend(Addr addr, bool is_instr)
+        {
+            l2_.prepend(addr);
+            (is_instr ? l1i_ : l1d_).prepend(addr);
+        }
+
+      private:
+        SetAssocCache::ColdFill l1i_, l1d_, l2_;
+    };
 
     /** Serialize/restore the mutable state (all three caches and the
      * MSHR occupancy ring). */

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.h"
@@ -171,6 +173,131 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(128 * kKiB, 4u),  // medium L2
         std::make_tuple(48 * kKiB, 4u),   // small L2
         std::make_tuple(8 * 1024 * kKiB, 16u))); // LLC
+
+TEST(CacheTest, LineSizeMustBeAPowerOfTwo)
+{
+    for (const std::uint32_t line_size : {0u, 48u}) {
+        try {
+            SetAssocCache("bad", {4 * kKiB, 2, line_size});
+            FAIL() << "lineSize " << line_size << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("lineSize"),
+                      std::string::npos) << e.what();
+        }
+    }
+    // Another power of two indexes by its own shift.
+    SetAssocCache cache("l32", {4 * kKiB, 2, 32});
+    EXPECT_FALSE(cache.access(0x20, false).hit);
+    EXPECT_TRUE(cache.access(0x3f, false).hit);
+    EXPECT_FALSE(cache.access(0x40, false).hit);
+}
+
+// --- Cold fill: the bulk warmup must equal per-line install() exactly.
+
+/** Fill @p forward with install() and @p cold with a ColdFill fed the
+ * same sequence newest-first. */
+void
+fillBothWays(SetAssocCache &forward, SetAssocCache &cold,
+             const std::vector<Addr> &sequence)
+{
+    for (const Addr addr : sequence)
+        forward.install(addr);
+    SetAssocCache::ColdFill fill(cold, sequence.size());
+    for (auto it = sequence.rbegin(); it != sequence.rend(); ++it)
+        fill.prepend(*it);
+}
+
+/** Drive both caches with one random access()/contains() stream over
+ * @p lines plus fresh lines; every result and the statistics must agree
+ * (victim addresses check the LRU order, not just the contents). */
+void
+expectSameBehaviour(SetAssocCache &a, SetAssocCache &b,
+                    const std::vector<Addr> &lines, Rng &rng,
+                    std::uint64_t ops)
+{
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        const Addr line = rng.nextBool(0.8)
+            ? lines[rng.nextRange(lines.size())]
+            : (Addr{1} << 41) + rng.nextRange(1 << 20);
+        const Addr addr = line * 64 + rng.nextRange(64);
+        if (rng.nextBool(0.25)) {
+            ASSERT_EQ(a.contains(addr), b.contains(addr)) << "op " << i;
+            continue;
+        }
+        const bool write = rng.nextBool(0.3);
+        const bool prefetch = rng.nextBool(0.1);
+        const CacheAccessResult ra = a.access(addr, write, prefetch);
+        const CacheAccessResult rb = b.access(addr, write, prefetch);
+        ASSERT_EQ(ra.hit, rb.hit) << "op " << i;
+        ASSERT_EQ(ra.hitPrefetched, rb.hitPrefetched) << "op " << i;
+        ASSERT_EQ(ra.writeback, rb.writeback) << "op " << i;
+        ASSERT_EQ(ra.victimAddr, rb.victimAddr) << "op " << i;
+    }
+    EXPECT_EQ(a.stats().accesses, b.stats().accesses);
+    EXPECT_EQ(a.stats().misses, b.stats().misses);
+    EXPECT_EQ(a.stats().evictions, b.stats().evictions);
+    EXPECT_EQ(a.stats().writebacks, b.stats().writebacks);
+}
+
+class ColdFillProperty
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::uint32_t>>
+{
+};
+
+TEST_P(ColdFillProperty, EqualsPerLineInstall)
+{
+    const auto [size, assoc] = GetParam();
+    const std::uint64_t capacity = size / 64;
+    Rng rng(size + assoc);
+    // (distinct lines, sequence length): duplicates throughout, as when
+    // PARSEC threads share lines; shorter and longer than capacity.
+    const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
+        {capacity / 4, capacity / 2},
+        {capacity, capacity},
+        {2 * capacity, 3 * capacity},
+    };
+    for (const auto &[distinct, length] : shapes) {
+        std::vector<Addr> lines(distinct);
+        for (Addr &line : lines)
+            line = (Addr{1} << 40) + rng.nextRange(Addr{1} << 30);
+        std::vector<Addr> sequence(length);
+        for (Addr &addr : sequence)
+            addr = lines[rng.nextRange(distinct)] * 64 + rng.nextRange(64);
+        SetAssocCache forward("forward", {size, assoc});
+        SetAssocCache cold("cold", {size, assoc});
+        fillBothWays(forward, cold, sequence);
+        expectSameBehaviour(forward, cold, lines, rng, 2 * capacity);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WarmedGeometries, ColdFillProperty,
+    ::testing::Values(
+        std::make_tuple(6 * kKiB, 2u),           // small L1: 48 sets
+        std::make_tuple(48 * kKiB, 4u),          // small L2: 192 sets
+        std::make_tuple(32 * kKiB, 4u),          // big L1: 128 sets
+        std::make_tuple(8 * 1024 * kKiB, 16u))); // LLC: 8192 sets
+
+TEST(CacheTest, ColdFillOfTouchedCacheFailsLoudly)
+{
+    SetAssocCache installed("l1", {32 * kKiB, 4});
+    installed.install(0x40);
+    EXPECT_THROW(SetAssocCache::ColdFill(installed, 1), FatalError);
+    SetAssocCache accessed("l1", {32 * kKiB, 4});
+    accessed.access(0x40, false);
+    EXPECT_THROW(SetAssocCache::ColdFill(accessed, 1), FatalError);
+    SetAssocCache filled("l1", {32 * kKiB, 4});
+    SetAssocCache::ColdFill(filled, 1).prepend(0x40);
+    EXPECT_THROW(SetAssocCache::ColdFill(filled, 1), FatalError);
+}
+
+TEST(CacheTest, ColdFillPastItsInstallCountPanics)
+{
+    SetAssocCache cache("l1", {32 * kKiB, 4});
+    SetAssocCache::ColdFill fill(cache, 1);
+    fill.prepend(0x40);
+    EXPECT_THROW(fill.prepend(0x80), PanicError);
+}
 
 } // namespace
 } // namespace smtflex

@@ -20,6 +20,7 @@
 #include "common/fault.h"
 #include "sim/chip_sim.h"
 #include "trace/spec_profiles.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -101,7 +102,7 @@ class ChipCkptTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = ::testing::TempDir() + "smtflex_chip_ckpt_test";
+        dir_ = testTempPath("smtflex_chip_ckpt_test");
         std::filesystem::remove_all(dir_);
         // Force checkpointing off (ignoring any ambient SMTFLEX_CKPT)
         // until a test turns it on.

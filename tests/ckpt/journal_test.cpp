@@ -14,6 +14,7 @@
 
 #include "ckpt/journal.h"
 #include "common/fault.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace ckpt {
@@ -24,7 +25,7 @@ class SweepJournalTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "smtflex_ckpt_journal_test.journal";
+        path_ = testTempPath("smtflex_ckpt_journal_test") + ".journal";
         std::filesystem::remove(path_);
     }
 

@@ -17,6 +17,7 @@
 #include "ckpt/snapshot.h"
 #include "ckpt/store.h"
 #include "common/fault.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace ckpt {
@@ -42,7 +43,7 @@ class SnapshotStoreTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = ::testing::TempDir() + "smtflex_ckpt_store_test";
+        dir_ = testTempPath("smtflex_ckpt_store_test");
         std::filesystem::remove_all(dir_);
     }
 

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
 
 #include "common/rng.h"
+#include "trace/spec_profiles.h"
 
 namespace smtflex {
 namespace {
@@ -128,6 +130,49 @@ TEST(RngTest, GeometricMinimumIsOne)
     Rng rng(19);
     for (int i = 0; i < 10000; ++i)
         EXPECT_GE(rng.nextGeometric(4.0), 1u);
+}
+
+/** nextGeometric as it was before the constant was hoisted: both
+ * log1p calls on every draw. */
+std::uint32_t
+perCallGeometric(Rng &rng, double mean)
+{
+    if (mean == 1.0)
+        return 1;
+    const double p = 1.0 / mean;
+    const double u = rng.nextDouble();
+    const double v = std::log1p(-u) / std::log1p(-p);
+    double k = std::floor(v) + 1.0;
+    if (k < 1.0)
+        k = 1.0;
+    if (k > 4096.0)
+        k = 4096.0;
+    return static_cast<std::uint32_t>(k);
+}
+
+TEST(RngTest, HoistedGeometricEqualsPerCallForm)
+{
+    std::vector<double> means = {1.0};
+    for (const BenchmarkProfile *profile : specAllProfiles())
+        means.push_back(profile->meanDepDist);
+    for (const double mean : means) {
+        const Rng::Geometric dist(mean);
+        if (mean != 1.0) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.logQ),
+                      std::bit_cast<std::uint64_t>(
+                          std::log1p(-(1.0 / mean))))
+                << "mean=" << mean;
+        }
+        Rng hoisted(37), per_call(37);
+        int mismatches = 0;
+        for (int i = 0; i < 100'000; ++i) {
+            mismatches +=
+                hoisted.nextGeometric(dist) != perCallGeometric(per_call, mean);
+        }
+        EXPECT_EQ(mismatches, 0) << "mean=" << mean;
+        // Both consumed the same number of draws.
+        EXPECT_EQ(hoisted.next(), per_call.next()) << "mean=" << mean;
+    }
 }
 
 TEST(RngTest, GaussianMoments)

@@ -25,6 +25,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "study/study_engine.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace dist {
@@ -102,7 +103,7 @@ class DistCkptResumeTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = ::testing::TempDir() + "smtflex_dist_ckpt_resume";
+        dir_ = testTempPath("smtflex_dist_ckpt_resume");
         std::filesystem::remove_all(dir_);
         // A huge snapshot interval: the tiny study runs never cross it,
         // so the test isolates the journal from chip snapshotting.

@@ -21,6 +21,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "study/study_engine.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace serve {
@@ -190,7 +191,7 @@ TEST(LoopbackE2eTest, ResultCachePersistsAcrossServerRestarts)
 {
     // First server instance: populate the on-disk result cache.
     const std::string cachePath =
-        ::testing::TempDir() + "smtflex_e2e_cache.txt";
+        testTempPath("smtflex_e2e_cache") + ".txt";
     ServerOptions options;
     options.study = e2eStudy();
     options.study.cachePath = cachePath;
@@ -234,6 +235,7 @@ TEST(LoopbackE2eTest, ResultCachePersistsAcrossServerRestarts)
         EXPECT_EQ(report.mismatches, 0u) << report.summary();
         ts.stop();
     }
+    removeTestTempFiles(cachePath);
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include "serve/loadgen.h"
 #include "serve/server.h"
 #include "study/study_engine.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace serve {
@@ -226,7 +227,7 @@ TEST_F(ServeChaosTest, StatsReportCorruptCacheLines)
     // A cache with one mangled line: the load skips and counts it, and
     // the stats op surfaces the counter to operators.
     const std::string cachePath =
-        ::testing::TempDir() + "smtflex_serve_chaos_cache.txt";
+        testTempPath("smtflex_serve_chaos_cache") + ".txt";
     {
         std::ofstream out(cachePath, std::ios::trunc);
         out << "good|1 2 3\n";

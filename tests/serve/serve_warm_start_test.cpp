@@ -21,6 +21,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "study/study_engine.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace serve {
@@ -44,7 +45,7 @@ runDoc(std::uint64_t budget)
 TEST(ServeWarmStartTest, LargerBudgetRunWarmStartsFromSnapshots)
 {
     const std::string dir =
-        ::testing::TempDir() + "smtflex_serve_warm_start";
+        testTempPath("smtflex_serve_warm_start");
     std::filesystem::remove_all(dir);
 
     // Cold references, computed before checkpointing is turned on.

@@ -116,6 +116,17 @@ TEST(ChipConfigTest, ValidationRejectsZeroLlcAssoc)
     expectRejected(cfg, "llc.assoc");
 }
 
+TEST(ChipConfigTest, ValidationRejectsBadLlcLineSize)
+{
+    // A zero lineSize used to divide by zero (SIGFPE) inside validate();
+    // the caches index with a shift, so it must be a power of two.
+    for (const std::uint32_t line_size : {0u, 48u}) {
+        ChipConfig cfg = ChipConfig::homogeneous("x", CoreParams::big(), 1);
+        cfg.llc.lineSize = line_size;
+        expectRejected(cfg, "llc.lineSize");
+    }
+}
+
 TEST(ChipConfigTest, ValidationRejectsZeroLlcLatency)
 {
     ChipConfig cfg = ChipConfig::homogeneous("x", CoreParams::big(), 1);

@@ -242,5 +242,24 @@ TEST(ChipSimTest, ZeroQuantumRejected)
     }
 }
 
+TEST(ChipSimTest, WarmAllCachesNeedsUntouchedCaches)
+{
+    const ChipConfig cfg =
+        ChipConfig::homogeneous("2B", CoreParams::big(), 2);
+    const std::vector<ChipSim::WarmSpec> warm = {
+        {&specProfile("hmmer"), AddressSpace::forThread(0), 0}};
+    ChipSim fresh(cfg);
+    EXPECT_NO_THROW(fresh.warmAllCaches(warm));
+    // A second warmup would continue from the first one's LRU state.
+    EXPECT_THROW(fresh.warmAllCaches(warm), FatalError);
+
+    // A chip that has simulated: its caches were accessed.
+    ChipSim ran(cfg);
+    Placement pl;
+    pl.entries = {{1, 0}};
+    ran.runMultiProgram({{&specProfile("hmmer"), 1000, 0}}, pl, 42);
+    EXPECT_THROW(ran.warmAllCaches(warm), FatalError);
+}
+
 } // namespace
 } // namespace smtflex

@@ -20,6 +20,7 @@
 #include "study/design_space.h"
 #include "study/result_cache.h"
 #include "study/study_engine.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -30,7 +31,7 @@ class CacheChaosTest : public ::testing::Test
     void SetUp() override
     {
         fault::reset();
-        path_ = ::testing::TempDir() + "smtflex_cache_chaos.txt";
+        path_ = testTempPath("smtflex_cache_chaos") + ".txt";
         removeAll();
     }
     void TearDown() override

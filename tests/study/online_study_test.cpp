@@ -18,6 +18,7 @@
 
 #include "study/online_study.h"
 #include "study/study_engine.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -32,7 +33,7 @@ privateCacheCopy()
     const std::string src =
         std::string(SMTFLEX_SOURCE_DIR) + "/smtflex_cache.txt";
     const std::string dst =
-        ::testing::TempDir() + "smtflex_online_study_cache.txt";
+        testTempPath("smtflex_online_study_cache") + ".txt";
     std::ifstream in(src, std::ios::binary);
     std::ofstream out(dst, std::ios::binary | std::ios::trunc);
     out << in.rdbuf();
@@ -80,6 +81,7 @@ TEST(OnlineStudyTest, FigureReproducesFromSeedCacheAndBeatsNaive)
     // nothing was stored, sampled or simulated afresh.
     EXPECT_EQ(engine.resultCache().size(), seeded);
     EXPECT_EQ(engine.schedStats().samplesRun.load(), 0u);
+    removeTestTempFiles(options.cachePath);
 }
 
 TEST(OnlineStudyTest, FigureTextIsDeterministic)
@@ -93,6 +95,7 @@ TEST(OnlineStudyTest, FigureTextIsDeterministic)
     EXPECT_NE(text.find("Online scheduling vs offline oracle"),
               std::string::npos);
     EXPECT_NE(text.find("pairing"), std::string::npos);
+    removeTestTempFiles(options.cachePath);
 }
 
 #endif // SMTFLEX_SOURCE_DIR

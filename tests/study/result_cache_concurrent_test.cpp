@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "study/result_cache.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -25,7 +26,7 @@ class ResultCacheConcurrentTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "smtflex_cache_mt_test.txt";
+        path_ = testTempPath("smtflex_cache_mt_test") + ".txt";
         removeAll();
     }
     void TearDown() override { removeAll(); }

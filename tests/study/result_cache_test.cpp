@@ -14,6 +14,7 @@
 
 #include "common/log.h"
 #include "study/result_cache.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -23,7 +24,7 @@ class ResultCacheTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "smtflex_cache_test.txt";
+        path_ = testTempPath("smtflex_cache_test") + ".txt";
         removeAll();
     }
     void TearDown() override { removeAll(); }

@@ -13,6 +13,7 @@
 #include "study/study_engine.h"
 #include "trace/spec_profiles.h"
 #include "workload/distributions.h"
+#include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -56,7 +57,7 @@ TEST(StudyEngineTest, OfflineTableComplete)
 TEST(StudyEngineTest, DiskCacheMakesRepeatRunsFree)
 {
     const std::string path =
-        ::testing::TempDir() + "smtflex_engine_cache.txt";
+        testTempPath("smtflex_engine_cache") + ".txt";
     std::remove(path.c_str());
     StudyOptions opts = fastOptions();
     opts.cachePath = path;
@@ -72,7 +73,7 @@ TEST(StudyEngineTest, DiskCacheMakesRepeatRunsFree)
     const auto again =
         eng2.multiprogram(paperDesign("4B"), homogeneousWorkload("tonto", 2));
     EXPECT_DOUBLE_EQ(again.stp, first_stp);
-    std::remove(path.c_str());
+    removeTestTempFiles(path);
 }
 
 TEST(StudyEngineTest, SingleThreadStpIsOneOnBigCore)

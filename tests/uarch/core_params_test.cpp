@@ -152,6 +152,23 @@ TEST(CoreParamsTest, ValidationRejectsZeroCacheAssoc)
     expectRejected(p, "l2.assoc");
 }
 
+TEST(CoreParamsTest, ValidationRejectsBadLineSize)
+{
+    // A zero lineSize used to divide by zero (SIGFPE) inside validate();
+    // the caches index with a shift, so it must be a power of two.
+    for (const std::uint32_t line_size : {0u, 48u}) {
+        CoreParams p = CoreParams::big();
+        p.l1i.lineSize = line_size;
+        expectRejected(p, "l1i.lineSize");
+        p = CoreParams::small();
+        p.l1d.lineSize = line_size;
+        expectRejected(p, "l1d.lineSize");
+        p = CoreParams::medium();
+        p.l2.lineSize = line_size;
+        expectRejected(p, "l2.lineSize");
+    }
+}
+
 TEST(CoreParamsTest, ValidationRejectsSubSetCache)
 {
     // 64-byte 16-way cache has fewer lines than one set needs.
