@@ -14,24 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "exec/experiment_runner.h"
 #include "study/study_engine.h"
 
 namespace smtflex {
 namespace benchutil {
-
-/**
- * Evaluate fn(name) for every design/benchmark name through the experiment
- * engine (SMTFLEX_JOBS workers; results land in name order regardless of
- * the worker count, so tables print identically for any job count).
- */
-template <typename Fn>
-auto
-mapNames(const std::vector<std::string> &names, Fn &&fn)
-{
-    exec::ExperimentRunner runner;
-    return runner.mapItems(names, std::forward<Fn>(fn));
-}
 
 /** Print the standard bench banner. */
 inline void

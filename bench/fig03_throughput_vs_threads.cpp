@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "exec/parallel.h"
 #include "study/design_space.h"
 
 using namespace smtflex;
@@ -29,9 +30,8 @@ sweep(StudyEngine &eng, bool heterogeneous)
     std::printf("\n");
     // Flatten the (thread count x design) grid into independent runs.
     const auto counts = eng.sweepThreadCounts();
-    exec::ExperimentRunner runner;
-    const auto grid = runner.map(counts.size() * names.size(),
-                                 [&](std::size_t i) {
+    const auto grid = exec::map(counts.size() * names.size(),
+                                [&](std::size_t i) {
         const std::uint32_t n = counts[i / names.size()];
         const ChipConfig cfg = paperDesign(names[i % names.size()]);
         return heterogeneous ? eng.heterogeneousAt(cfg, n).stp

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "exec/parallel.h"
 #include "study/design_space.h"
 #include "workload/distributions.h"
 
@@ -28,7 +29,7 @@ main()
         std::printf("(%s workloads)\n", het ? "heterogeneous"
                                             : "homogeneous");
         const std::vector<double> scores =
-            benchutil::mapNames(paperDesignNames(), [&](const auto &name) {
+            exec::mapItems(paperDesignNames(), [&](const auto &name) {
                 return eng.distributionStp(paperDesign(name).withSmt(false),
                                            dist, het);
             });

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "exec/parallel.h"
 #include "study/design_space.h"
 #include "workload/distributions.h"
 
@@ -32,7 +33,7 @@ main()
         std::printf("(%s workloads)\n", het ? "heterogeneous"
                                             : "homogeneous");
         const std::vector<double> scores =
-            benchutil::mapNames(paperDesignNames(), [&](const auto &name) {
+            exec::mapItems(paperDesignNames(), [&](const auto &name) {
                 const bool smt = std::find(homogeneous.begin(),
                                            homogeneous.end(),
                                            name) != homogeneous.end();

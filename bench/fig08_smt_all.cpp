@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "exec/parallel.h"
 #include "study/design_space.h"
 #include "workload/distributions.h"
 
@@ -29,9 +30,9 @@ main()
         std::printf("(%s workloads)\n", het ? "heterogeneous"
                                             : "homogeneous");
         // The nine designs are independent sweeps: fan them out across the
-        // experiment engine and print once all have landed.
+        // pool and print once all have landed.
         const std::vector<double> scores =
-            benchutil::mapNames(paperDesignNames(), [&](const auto &name) {
+            exec::mapItems(paperDesignNames(), [&](const auto &name) {
                 return eng.distributionStp(paperDesign(name), dist, het);
             });
         double v4b = 0.0;

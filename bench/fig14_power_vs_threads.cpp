@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "exec/parallel.h"
 #include "study/design_space.h"
 
 using namespace smtflex;
@@ -29,12 +30,11 @@ main()
         std::printf("%9s", name.c_str());
     std::printf("\n");
     // The whole (thread count x design) grid is independent runs: flatten
-    // it through the experiment engine, then print in row order.
+    // it through exec::map, then print in row order.
     const auto counts = eng.sweepThreadCounts();
     const auto &names = paperDesignNames();
-    exec::ExperimentRunner runner;
-    const auto grid = runner.map(counts.size() * names.size(),
-                                 [&](std::size_t i) {
+    const auto grid = exec::map(counts.size() * names.size(),
+                                [&](std::size_t i) {
         const std::uint32_t n = counts[i / names.size()];
         const auto &name = names[i % names.size()];
         return eng.homogeneousAt(paperDesign(name), n).powerGatedW;

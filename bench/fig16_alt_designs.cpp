@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "exec/parallel.h"
 #include "common/stats.h"
 #include "study/design_space.h"
 #include "workload/parsec.h"
@@ -47,7 +48,7 @@ main()
     std::printf("baselines:\n");
     double v8m = 0, v20s = 0;
     const auto base_scores =
-        benchutil::mapNames(baselines, [&](const auto &name) {
+        exec::mapItems(baselines, [&](const auto &name) {
             return avgRoiSpeedup(eng, paperDesign(name));
         });
     for (std::size_t i = 0; i < baselines.size(); ++i) {
@@ -60,7 +61,7 @@ main()
     std::printf("variants:\n");
     double m_lc = 0, s_lc = 0, m_hf = 0, s_hf = 0;
     const auto var_scores =
-        benchutil::mapNames(alternativeDesignNames(), [&](const auto &name) {
+        exec::mapItems(alternativeDesignNames(), [&](const auto &name) {
             return avgRoiSpeedup(eng, alternativeDesign(name));
         });
     for (std::size_t i = 0; i < alternativeDesignNames().size(); ++i) {

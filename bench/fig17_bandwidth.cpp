@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "exec/parallel.h"
 #include "common/stats.h"
 #include "study/design_space.h"
 #include "workload/distributions.h"
@@ -32,7 +33,7 @@ main()
         std::printf("(multi-program, %s workloads, SMT everywhere)\n",
                     het ? "heterogeneous" : "homogeneous");
         const std::vector<double> scores =
-            benchutil::mapNames(paperDesignNames(), [&](const auto &name) {
+            exec::mapItems(paperDesignNames(), [&](const auto &name) {
                 return eng.distributionStp(paperDesign(name), dist, het);
             });
         double v4b = 0.0;
@@ -56,7 +57,7 @@ main()
         const std::vector<std::string> configs = {"4B", "8m", "20s",
                                                   "1B6m", "1B15s"};
         const std::vector<double> scores =
-            benchutil::mapNames(configs, [&](const auto &name) {
+            exec::mapItems(configs, [&](const auto &name) {
                 std::vector<double> speedups;
                 for (const auto &bench : parsecBenchmarkNames()) {
                     const ParsecMetrics base =

@@ -15,8 +15,8 @@
  *
  * Header-only so that every model library (cache, dram, uarch, sim) can
  * implement saveState()/loadState() without linking the ckpt library;
- * only the snapshot store / journal code (file I/O, fault seams) lives
- * in smtflex_ckpt.
+ * only the snapshot store code (file I/O, fault seams) lives in
+ * smtflex_ckpt.
  */
 
 #ifndef SMTFLEX_CKPT_SERIAL_H

@@ -77,8 +77,7 @@ decodeSnapshot(const std::uint8_t *data, std::size_t size)
         throw CorruptSnapshot("ckpt: unsupported snapshot version");
     Snapshot snap;
     snap.kind = static_cast<SnapshotKind>(r.u32());
-    if (snap.kind != SnapshotKind::kChipRun &&
-        snap.kind != SnapshotKind::kSweepJournal)
+    if (snap.kind != SnapshotKind::kChipRun)
         throw CorruptSnapshot("ckpt: unknown snapshot kind");
     snap.key = r.str();
     snap.cycle = r.u64();

@@ -43,8 +43,7 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 /** What a snapshot's payload serializes. */
 enum class SnapshotKind : std::uint32_t {
-    kChipRun = 1,      ///< ChipSim::runMultiProgram mid-run state
-    kSweepJournal = 2, ///< one sweep-journal entry (framed, not a file)
+    kChipRun = 1, ///< ChipSim::runMultiProgram mid-run state
 };
 
 /** A decoded snapshot. */

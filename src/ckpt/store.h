@@ -38,8 +38,6 @@ struct CkptStats
     std::atomic<std::uint64_t> corruptSkipped{0};
     std::atomic<std::uint64_t> resumedCycles{0};
     std::atomic<std::uint64_t> resumeMs{0};
-    std::atomic<std::uint64_t> journalAppends{0};
-    std::atomic<std::uint64_t> journalReplayed{0};
 
     template <typename F>
     static void forEachCounter(F &&f)
@@ -52,8 +50,6 @@ struct CkptStats
         f("corrupt_skipped", &CkptStats::corruptSkipped);
         f("resumed_cycles", &CkptStats::resumedCycles);
         f("resume_ms", &CkptStats::resumeMs);
-        f("journal_appends", &CkptStats::journalAppends);
-        f("journal_replayed", &CkptStats::journalReplayed);
     }
 };
 
@@ -118,7 +114,7 @@ void configureProcessSpec(const std::string &spec);
 /** Drop any binding and re-arm lazy env parsing (tests). */
 void resetProcess();
 
-/** The counters every binding (and the journal) reports into. */
+/** The counters every binding reports into. */
 CkptStats &processStats();
 
 } // namespace ckpt

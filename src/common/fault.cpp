@@ -20,10 +20,9 @@ namespace {
 constexpr std::size_t kNumSites = static_cast<std::size_t>(Site::kCount);
 
 constexpr std::array<const char *, kNumSites> kSiteNames = {
-    "io.write",       "io.fsync",       "io.load",
+    "io.write",       "io.fsync",        "io.load",
     "net.short_read", "net.short_write", "net.eagain",
-    "net.disconnect", "exec.throw",      "exec.stall",
-    "ckpt.write",     "ckpt.load",
+    "net.disconnect", "ckpt.write",      "ckpt.load",
 };
 
 struct SiteState

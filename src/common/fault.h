@@ -4,12 +4,12 @@
  *
  * Long campaigns treat interruption and partial progress as the normal
  * case; this module makes the failure paths *provable* by letting tests
- * (and operators) make I/O, sockets and workers fail on demand. Seams are
- * threaded through the three layers that talk to the outside world:
- * ResultCache file I/O, the serve socket loops and the exec workers. Each
- * seam asks shouldFire(Site) before the real operation and, when told to,
- * fails the way the real world would (a torn write, a 1-byte read, a
- * thrown experiment).
+ * (and operators) make I/O and sockets fail on demand. Seams are threaded
+ * through the layers that talk to the outside world: ResultCache file
+ * I/O, the serve socket loops and checkpoint snapshot files. Each seam
+ * asks shouldFire(Site) before the real operation and, when told to,
+ * fails the way the real world would (a torn write, a 1-byte read, an
+ * unreadable file).
  *
  * Configuration grammar (SMTFLEX_FAULT, or fault::configure in tests):
  *
@@ -19,8 +19,8 @@
  *              | 'seed' '=' u64      decision stream seed (default 1)
  *              | 'after' '=' u64     ops passed through before arming
  *              | 'limit' '=' u64     max fires, 0 = unlimited
- *              | 'param' '=' u64     site-specific magnitude (stall ms,
- *                                    short-op byte clamp)
+ *              | 'param' '=' u64     site-specific magnitude (short-op
+ *                                    byte clamp, torn-write offset)
  *
  *   SMTFLEX_FAULT="io.write:p=0.01;seed=42,net.short_read:p=0.05"
  *
@@ -53,10 +53,8 @@ enum class Site : unsigned {
     kNetShortWrite,///< socket write clamped to `param` bytes (default 1)
     kNetEagain,    ///< socket op behaves as EAGAIN (retried later)
     kNetDisconnect,///< connection torn down mid-frame
-    kExecThrow,    ///< experiment throws before running
-    kExecStall,    ///< experiment stalls `param` ms (default 50) first
-    kCkptWrite,    ///< snapshot/journal write torn at `param` bytes
-    kCkptLoad,     ///< snapshot/journal read behaves as corrupt
+    kCkptWrite,    ///< snapshot write torn at `param` bytes
+    kCkptLoad,     ///< snapshot read behaves as corrupt
     kCount
 };
 

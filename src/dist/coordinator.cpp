@@ -60,23 +60,6 @@ Coordinator::Coordinator(CoordinatorOptions options)
         return std::uint64_t{pool_.healthyIndices().size()};
     });
     pool_.registerMetrics(registry);
-
-    // Durable sweeps: with SMTFLEX_CKPT on, journal every delivered
-    // record and replay the journal now — after a SIGKILL the cache
-    // starts where the fleet left off, so no delivered chunk is ever
-    // recomputed.
-    if (const ckpt::ProcessBinding *binding = ckpt::processBinding()) {
-        journal_ = std::make_unique<ckpt::SweepJournal>(
-            binding->store.dir() + "/sweep.journal",
-            &ckpt::processStats());
-        const std::uint64_t replayed =
-            journal_->replay([this](const ckpt::SweepJournal::Record &r) {
-                server_.engine().resultCache().store(r.key, r.values);
-            });
-        if (replayed != 0)
-            inform("dist: replayed ", replayed,
-                   " journaled record(s) from ", journal_->path());
-    }
 }
 
 serve::Json
@@ -96,11 +79,11 @@ Coordinator::execute(const serve::Request &request)
 }
 
 std::uint64_t
-Coordinator::storeRecords(const serve::Json &reply,
-                          std::vector<ckpt::SweepJournal::Record> *collected)
+Coordinator::storeRecords(const serve::Json &reply)
 {
     if (!reply.has("records"))
         return 0;
+    ResultCache &cache = server_.engine().resultCache();
     std::uint64_t stored = 0;
     for (const auto &member : reply.at("records").members()) {
         std::vector<double> values;
@@ -108,25 +91,12 @@ Coordinator::storeRecords(const serve::Json &reply,
             values.push_back(value.asNumber());
         if (member.first.empty() || values.empty())
             continue; // a malformed backend record is skippable noise
-        server_.engine().resultCache().store(member.first, values);
-        if (collected != nullptr)
-            collected->push_back({member.first, values});
+        cache.store(member.first, values);
         ++stored;
     }
+    if (stored != 0)
+        cache.flush();
     return stored;
-}
-
-void
-Coordinator::journalRecords(
-    const std::vector<ckpt::SweepJournal::Record> &records)
-{
-    if (journal_ == nullptr || records.empty())
-        return;
-    // One frame per completed chunk, serialized across the worker
-    // threads: frames must land whole (the CRC framing assumes no
-    // interleaving), and the append fsyncs anyway.
-    std::lock_guard<std::mutex> lock(journalMutex_);
-    journal_->append(records);
 }
 
 std::vector<std::string>
@@ -145,12 +115,7 @@ Coordinator::pullRecords(const std::vector<std::string> &keys,
         doc.set("keys", std::move(list));
         try {
             const serve::Json reply = pool_.at(index).call(doc);
-            // Pulled records are delivered state like chunk results: they
-            // must reach the journal too, or a restart with a fresh cache
-            // would recompute (or re-pull) everything federation saved.
-            std::vector<ckpt::SweepJournal::Record> delivered;
-            stats_.recordsPulled.fetch_add(storeRecords(reply, &delivered));
-            journalRecords(delivered);
+            stats_.recordsPulled.fetch_add(storeRecords(reply));
         } catch (const FatalError &) {
             continue; // an unreachable backend just cannot contribute
         }
@@ -239,13 +204,10 @@ Coordinator::shardRows(const serve::SweepRequest &req,
                 try {
                     const serve::Json reply = backend.call(
                         chunkRequest(req, rows, chunk->items));
-                    std::vector<ckpt::SweepJournal::Record> delivered;
-                    stats_.recordsStored.fetch_add(
-                        storeRecords(reply, &delivered));
                     // Durability before completion: once the planner
                     // marks the chunk done, nobody will redo it — so
-                    // its records must already be on disk.
-                    journalRecords(delivered);
+                    // storeRecords has already flushed its records.
+                    stats_.recordsStored.fetch_add(storeRecords(reply));
                     const auto fresh = planner.complete(chunk->id);
                     stats_.rowsCompleted.fetch_add(fresh.size());
                 } catch (const FatalError &e) {

@@ -26,6 +26,13 @@
  * the work) and `cache_push`es the records it already holds to the
  * backends about to compute, so nobody re-simulates what the fleet
  * collectively knows.
+ *
+ * Durability: every record the fleet delivers (chunk replies and pulled
+ * records alike) is stored into the coordinator's ResultCache and flushed
+ * before the chunk counts as complete. The cache's append-only, CRC-tagged
+ * segments are the only durable log: a coordinator restarted on the same
+ * `--cache` file after a SIGKILL resumes without recomputing a single
+ * delivered chunk.
  */
 
 #ifndef SMTFLEX_DIST_COORDINATOR_H
@@ -33,12 +40,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "ckpt/journal.h"
 #include "dist/backend_pool.h"
 #include "dist/shard_planner.h"
 #include "serve/server.h"
@@ -149,31 +153,16 @@ class Coordinator
     void pushRecords(const std::vector<std::string> &keys,
                      Backend &backend);
 
-    /** Store a reply's {"records":{key:[v,...]}} member locally; when
-     * @p collected is non-null, also copy each stored record into it
-     * (the journaling path). */
-    std::uint64_t
-    storeRecords(const serve::Json &reply,
-                 std::vector<ckpt::SweepJournal::Record> *collected =
-                     nullptr);
-
-    /** Durably journal @p records (no-op without SMTFLEX_CKPT). */
-    void journalRecords(
-        const std::vector<ckpt::SweepJournal::Record> &records);
+    /** Store a reply's {"records":{key:[v,...]}} member into the local
+     * cache and flush it, so the records are on disk before the caller
+     * acts on them. Returns the number of records stored. */
+    std::uint64_t storeRecords(const serve::Json &reply);
 
     CoordinatorOptions options_;
     serve::Server server_;
     BackendPool pool_;
     DistStats stats_;
     std::atomic<std::size_t> rrNext_{0};
-    /** Chunk-completion journal (smtflex::ckpt): every record delivered
-     * by the fleet is CRC-framed and fsynced before the chunk counts as
-     * complete, and replayed into the result cache on startup — a
-     * coordinator killed with SIGKILL mid-sweep resumes without
-     * recomputing a single delivered chunk. Null when SMTFLEX_CKPT is
-     * unset. */
-    std::unique_ptr<ckpt::SweepJournal> journal_;
-    std::mutex journalMutex_;
 };
 
 } // namespace dist

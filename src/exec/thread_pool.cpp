@@ -1,10 +1,5 @@
 #include "thread_pool.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/env.h"
 #include "common/log.h"
 
@@ -22,38 +17,15 @@ struct WorkerIdentity
 
 thread_local WorkerIdentity tlsWorker;
 
-#if defined(__linux__)
-void
-pinThread(std::thread &thread, unsigned cpu)
-{
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu % std::max(1u, std::thread::hardware_concurrency()), &set);
-    if (pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set))
-        warn("ThreadPool: could not pin worker to CPU ", cpu);
-}
-#else
-void
-pinThread(std::thread &, unsigned cpu)
-{
-    warn("ThreadPool: CPU pinning unsupported on this platform (CPU ", cpu,
-         ")");
-}
-#endif
-
 } // namespace
 
-ThreadPool::ThreadPool(unsigned workers, bool pin_threads)
+ThreadPool::ThreadPool(unsigned workers)
 {
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
         workers_.push_back(std::make_unique<Worker>());
-    for (unsigned i = 0; i < workers; ++i) {
-        workers_[i]->thread =
-            std::thread([this, i] { workerLoop(i); });
-        if (pin_threads)
-            pinThread(workers_[i]->thread, i);
-    }
+    for (unsigned i = 0; i < workers; ++i)
+        workers_[i]->thread = std::thread([this, i] { workerLoop(i); });
 }
 
 ThreadPool::~ThreadPool()
@@ -89,8 +61,7 @@ makeGlobal(unsigned jobs)
 {
     // jobs == 1 means "no extra threads": tasks run inline on the
     // submitting thread, which reproduces serial execution exactly.
-    globalPool = std::make_unique<ThreadPool>(
-        jobs <= 1 ? 0 : jobs, envFlag("SMTFLEX_PIN", false));
+    globalPool = std::make_unique<ThreadPool>(jobs <= 1 ? 0 : jobs);
     return *globalPool;
 }
 

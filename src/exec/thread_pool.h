@@ -16,7 +16,6 @@
  * Worker count comes from SMTFLEX_JOBS (default: hardware concurrency).
  * SMTFLEX_JOBS=1 builds a pool with no worker threads: every task runs
  * inline at submission, byte-for-byte reproducing serial execution.
- * SMTFLEX_PIN=1 additionally pins worker i to CPU i (Linux only).
  */
 
 #ifndef SMTFLEX_EXEC_THREAD_POOL_H
@@ -47,8 +46,8 @@ class TaskGroup;
 class ThreadPool
 {
   public:
-    /** Spawn @p workers threads; optionally pin worker i to CPU i. */
-    explicit ThreadPool(unsigned workers, bool pin_threads = false);
+    /** Spawn @p workers threads. */
+    explicit ThreadPool(unsigned workers);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -64,8 +63,8 @@ class ThreadPool
     unsigned concurrency() const { return std::max(1u, workerCount()); }
 
     /**
-     * The process-wide pool, built on first use from SMTFLEX_JOBS /
-     * SMTFLEX_PIN. Thread-safe.
+     * The process-wide pool, built on first use from SMTFLEX_JOBS.
+     * Thread-safe.
      */
     static ThreadPool &global();
 

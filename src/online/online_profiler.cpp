@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "exec/experiment_runner.h"
+#include "exec/parallel.h"
 
 namespace smtflex {
 namespace online {
@@ -143,8 +143,7 @@ OnlineProfiler::profileWorkload(const ChipConfig &config,
         for (const CoreType type : types)
             tasks.push_back({profile, type});
     }
-    exec::ExperimentRunner runner;
-    runner.mapItems(tasks, [&](const auto &task) {
+    exec::mapItems(tasks, [&](const auto &task) {
         return sample(*task.first, task.second);
     });
 

@@ -6,7 +6,7 @@
 #include <unordered_set>
 
 #include "common/log.h"
-#include "exec/experiment_runner.h"
+#include "exec/parallel.h"
 #include "metrics/metrics.h"
 #include "online/online_policy.h"
 #include "online/online_profile.h"
@@ -302,8 +302,7 @@ isolatedText(StudyEngine &engine, const IsolatedRequest &req)
     {
         double big = 0.0, medium = 0.0, small = 0.0;
     };
-    exec::ExperimentRunner runner;
-    const auto rows = runner.mapItems(benches, [&](const std::string &bench) {
+    const auto rows = exec::mapItems(benches, [&](const std::string &bench) {
         Row row;
         row.big = engine.isolatedIpc(bench, CoreType::kBig);
         row.medium = engine.isolatedIpc(bench, CoreType::kMedium);

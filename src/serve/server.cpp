@@ -16,7 +16,7 @@
 #include "ckpt/store.h"
 #include "common/fault.h"
 #include "common/log.h"
-#include "exec/experiment_runner.h"
+#include "exec/parallel.h"
 #include "exec/thread_pool.h"
 
 namespace smtflex {
@@ -856,15 +856,12 @@ void
 Server::dispatcherLoop()
 {
     std::vector<Job> batch;
-    exec::ExperimentRunner runner;
     while (queue_->popBatch(batch, batchMax_) > 0) {
         executing_.store(batch.size());
         // One pool task per request: independent simulations spread over
         // the work-stealing pool, exactly like a figure sweep.
-        auto completions =
-            runner.mapItems(batch, [&](const Job &job) {
-                return executeJob(job);
-            });
+        auto completions = exec::mapItems(
+            batch, [&](const Job &job) { return executeJob(job); });
         executing_.store(0);
         for (auto &completion : completions) {
             if (completion.cacheable)

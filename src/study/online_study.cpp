@@ -3,7 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "exec/experiment_runner.h"
+#include "exec/parallel.h"
 #include "online/online_policy.h"
 #include "study/design_space.h"
 
@@ -73,8 +73,7 @@ onlineStudy(StudyEngine &engine)
             specs.push_back({design, mix});
     }
 
-    exec::ExperimentRunner runner;
-    return runner.mapItems(specs, [&](const RowSpec &spec) {
+    return exec::mapItems(specs, [&](const RowSpec &spec) {
         const ChipConfig config = paperDesign(spec.design);
         OnlineStudyRow row;
         row.design = spec.design;

@@ -293,8 +293,8 @@ ResultCache::appendRecord(Shard &shard, std::size_t index,
                 ::write(shard.fd, header.data(), header.size());
             // Record fsyncs alone don't make a *new* file durable: its
             // directory entry needs an fsync of the parent too, else a
-            // power loss can drop the entire segment. (checkpoint()
-            // already syncs the parent after its rename.)
+            // power loss can drop the entire segment. (flush() and
+            // checkpoint() sync the parent themselves.)
             if (fsyncEachStore_)
                 syncParentDir(shardPath(index));
         }
@@ -359,6 +359,7 @@ ResultCache::flush()
         if (shard.fd >= 0)
             syncFd(shard.fd, shardPath(i));
     }
+    syncParentDir(path_);
 }
 
 bool

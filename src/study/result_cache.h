@@ -45,9 +45,10 @@ namespace smtflex {
  * (corruptLinesSkipped()) and reported with one warning per file — a
  * corrupt line costs one recomputation, never a corrupt result. Appends
  * that come up short are terminated and retried so the record still
- * persists. checkpoint() rewrites every segment through the atomic
- * tmp + rename + fsync dance; SMTFLEX_CACHE_FSYNC=1 additionally fsyncs
- * each appended record. Injection seams (smtflex::fault sites io.write,
+ * persists. flush() makes every appended record durable;
+ * checkpoint() rewrites every segment through the atomic tmp + rename +
+ * fsync dance; SMTFLEX_CACHE_FSYNC=1 additionally fsyncs each appended
+ * record. Injection seams (smtflex::fault sites io.write,
  * io.fsync, io.load) make all of these paths testable on demand.
  */
 class ResultCache
@@ -88,9 +89,10 @@ class ResultCache
     std::size_t size() const;
     const std::string &path() const { return path_; }
 
-    /** Push every shard's appended records to stable storage (fsync).
-     * Cheap graceful-shutdown hook; see checkpoint() for the atomic
-     * full-snapshot variant. */
+    /** Push every shard's appended records to stable storage: fsync each
+     * open segment, then the cache's directory, so a segment created
+     * since the last flush survives a power cut too. See checkpoint()
+     * for the atomic full-snapshot variant. */
     void flush();
 
     /**

@@ -4,13 +4,32 @@
 
 #include "common/env.h"
 #include "common/log.h"
-#include "exec/experiment_runner.h"
+#include "exec/parallel.h"
 #include "metrics/metrics.h"
 #include "sim/power_summary.h"
 #include "trace/spec_profiles.h"
 #include "workload/parsec_runner.h"
 
 namespace smtflex {
+
+namespace {
+
+/**
+ * Fail loudly when the cached record under @p key holds fewer than the
+ * @p want values its decoder reads. A CRC-less legacy line cut mid-values
+ * loads as a shorter record; decoding it would read past its end, or
+ * (inside a sweep row) silently drop a workload from the aggregate.
+ */
+void
+requireWidth(const std::string &key, const std::vector<double> &values,
+             std::size_t want, const char *qualifier = "")
+{
+    if (values.size() < want)
+        fatal("StudyEngine: cached record '", key, "' holds ",
+              values.size(), " value(s), expected ", qualifier, want);
+}
+
+} // namespace
 
 StudyOptions
 StudyOptions::fromEnv()
@@ -114,8 +133,10 @@ double
 StudyEngine::isolatedIpc(const std::string &bench, CoreType type)
 {
     const std::string key = isolationKey(bench, type);
-    if (const auto hit = cache_.lookup(key))
+    if (const auto hit = cache_.lookup(key)) {
+        requireWidth(key, *hit, 1);
         return hit->at(0);
+    }
 
     CoreParams core;
     switch (type) {
@@ -159,8 +180,7 @@ StudyEngine::offline()
         };
         // The 12 x 3 isolated characterisation runs are independent; fan
         // them out and fill the table in deterministic order afterwards.
-        exec::ExperimentRunner runner;
-        const auto rows = runner.map(benches.size(), [&](std::size_t i) {
+        const auto rows = exec::map(benches.size(), [&](std::size_t i) {
             Row row;
             row.big = isolatedIpc(benches[i], CoreType::kBig);
             row.medium = isolatedIpc(benches[i], CoreType::kMedium);
@@ -213,8 +233,10 @@ StudyEngine::runMultiprogramUncached(const ChipConfig &config,
 }
 
 RunMetrics
-StudyEngine::decodeRunMetrics(const std::vector<double> &values)
+StudyEngine::decodeRunMetrics(const std::string &key,
+                              const std::vector<double> &values)
 {
+    requireWidth(key, values, 6);
     RunMetrics m;
     m.stp = values.at(0);
     m.antt = values.at(1);
@@ -238,7 +260,7 @@ StudyEngine::multiprogram(const ChipConfig &config,
 {
     const std::string key = "mp;" + keyPrefix(config) + ";" + workload.name;
     if (const auto hit = cache_.lookup(key))
-        return decodeRunMetrics(*hit);
+        return decodeRunMetrics(key, *hit);
     const RunMetrics m = runMultiprogramUncached(config, workload);
     cache_.store(key, encodeRunMetrics(m));
     return m;
@@ -251,7 +273,7 @@ StudyEngine::multiprogramNaive(const ChipConfig &config,
     const std::string key =
         "mpn;" + keyPrefix(config) + ";" + workload.name;
     if (const auto hit = cache_.lookup(key))
-        return decodeRunMetrics(*hit);
+        return decodeRunMetrics(key, *hit);
     const ChipConfig chip_config = configured(config);
     const std::vector<ThreadSpec> specs =
         workload.specs(options_.budget, options_.warmup);
@@ -286,6 +308,7 @@ StudyEngine::decidePlacement(const ChipConfig &config,
         "ol;" + policy + ";" + keyPrefix(config) + ";" + workload.name;
     if (const auto hit = cache_.lookup(key)) {
         const std::vector<double> &v = *hit;
+        requireWidth(key, v, 8);
         PlacementDecision d;
         d.predictedStp = v.at(0);
         d.predictedAntt = v.at(1);
@@ -295,6 +318,7 @@ StudyEngine::decidePlacement(const ChipConfig &config,
         d.quantaSampled = v.at(5);
         d.samplesRun = v.at(6);
         const auto n = static_cast<std::size_t>(v.at(7));
+        requireWidth(key, v, 8 + 3 * n);
         for (std::size_t t = 0; t < n; ++t) {
             Placement::Entry entry;
             entry.core = static_cast<std::uint32_t>(v.at(8 + 3 * t));
@@ -356,8 +380,9 @@ StudyEngine::multiprogramOnline(const ChipConfig &config,
     const std::string key =
         "olr;" + policy + ";" + keyPrefix(config) + ";" + workload.name;
     if (const auto hit = cache_.lookup(key)) {
+        requireWidth(key, *hit, 8);
         ScheduleMetrics m;
-        m.run = decodeRunMetrics(*hit);
+        m.run = decodeRunMetrics(key, *hit);
         m.predictedStp = hit->at(6);
         m.predictedAntt = hit->at(7);
         return m;
@@ -381,32 +406,19 @@ StudyEngine::multiprogramOnline(const ChipConfig &config,
 namespace {
 
 /** Aggregate per-workload metrics: harmonic mean for STP (a rate metric),
- * arithmetic means for the rest. Quarantined workloads (a persistently
- * failing experiment the recovery layer gave up on) are excluded from the
- * aggregate rather than poisoning it; losing every workload is fatal. */
+ * arithmetic means for the rest. Every workload counts: a failing one has
+ * already failed the whole map. */
 RunMetrics
-aggregate(const exec::RecoveredResults<RunMetrics> &sweep,
-          const char *what)
+aggregate(const std::vector<RunMetrics> &runs)
 {
     std::vector<double> stp, antt, pg, pu, cycles;
-    for (std::size_t i = 0; i < sweep.results.size(); ++i) {
-        if (!sweep.ok[i])
-            continue;
-        const RunMetrics &run = sweep.results[i];
+    for (const RunMetrics &run : runs) {
         stp.push_back(run.stp);
         antt.push_back(run.antt);
         pg.push_back(run.powerGatedW);
         pu.push_back(run.powerUngatedW);
         cycles.push_back(run.cycles);
     }
-    if (stp.empty())
-        fatal(what, ": every workload quarantined (first error: ",
-              sweep.quarantined.empty() ? "none"
-                                        : sweep.quarantined[0].error,
-              ")");
-    if (!sweep.quarantined.empty())
-        warn(what, ": aggregating without ", sweep.quarantined.size(),
-             " quarantined workload(s) of ", sweep.results.size());
     RunMetrics agg;
     agg.stp = harmonicMean(stp);
     agg.antt = arithmeticMean(antt);
@@ -433,17 +445,10 @@ StudyEngine::homogeneousAt(const ChipConfig &config, std::uint32_t n)
     // itself a parallel region, and prebuilding it means every parallel
     // workload run below hits the memoised table.
     offline();
-    // The self-healing map: transient experiment failures retry with
-    // backoff (deterministic results, so recovery is invisible in the
-    // output), persistent ones quarantine instead of killing the sweep.
-    exec::ExperimentRunner runner;
-    return aggregate(
-        runner.mapItemsRecovering(
-            specBenchmarkNames(),
-            [&](const std::string &bench) {
-                return homogeneousBenchmarkAt(config, bench, n);
-            }),
-        "homogeneousAt");
+    return aggregate(exec::mapItems(
+        specBenchmarkNames(), [&](const std::string &bench) {
+            return homogeneousBenchmarkAt(config, bench, n);
+        }));
 }
 
 RunMetrics
@@ -455,14 +460,11 @@ StudyEngine::heterogeneousAt(const ChipConfig &config, std::uint32_t n)
         return homogeneousAt(config, 1);
     }
     offline();
-    exec::ExperimentRunner runner;
-    return aggregate(
-        runner.mapItemsRecovering(
-            heterogeneousWorkloads(n, options_.hetMixes, options_.seed),
-            [&](const MultiProgramWorkload &mix) {
-                return multiprogram(config, mix);
-            }),
-        "heterogeneousAt");
+    return aggregate(exec::mapItems(
+        heterogeneousWorkloads(n, options_.hetMixes, options_.seed),
+        [&](const MultiProgramWorkload &mix) {
+            return multiprogram(config, mix);
+        }));
 }
 
 double
@@ -528,6 +530,7 @@ StudyEngine::parsec(const ChipConfig &config, const std::string &bench,
     std::ostringstream key;
     key << "ps;" << keyPrefix(config) << ";" << bench << ";t" << threads;
     if (const auto hit = cache_.lookup(key.str())) {
+        requireWidth(key.str(), *hit, 4, "at least ");
         ParsecMetrics m;
         m.roiCycles = hit->at(0);
         m.totalCycles = hit->at(1);
@@ -570,8 +573,7 @@ double
 StudyEngine::bestParsecCycles(const ChipConfig &config,
                               const std::string &bench, bool roi_only)
 {
-    exec::ExperimentRunner runner;
-    const auto all = runner.mapItems(
+    const auto all = exec::mapItems(
         parsecThreadCandidates(config), [&](std::uint32_t t) {
             const ParsecMetrics m = parsec(config, bench, t);
             return roi_only ? m.roiCycles : m.totalCycles;

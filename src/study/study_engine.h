@@ -252,7 +252,10 @@ class StudyEngine
     RunMetrics runPlacement(const ChipConfig &chip_config,
                             const std::vector<ThreadSpec> &specs,
                             const Placement &placement);
-    static RunMetrics decodeRunMetrics(const std::vector<double> &values);
+    /** Decode a cached mp;/mpn;/olr; record; fatal() naming @p key when
+     * it holds fewer than the six RunMetrics values. */
+    static RunMetrics decodeRunMetrics(const std::string &key,
+                                       const std::vector<double> &values);
     static std::vector<double> encodeRunMetrics(const RunMetrics &metrics);
     ParsecMetrics runParsecUncached(const ChipConfig &config,
                                     const std::string &bench,

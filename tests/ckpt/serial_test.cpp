@@ -142,8 +142,8 @@ TEST(CkptSerialTest, StatsCountersRoundTripThroughFieldList)
     stats.misses = 2;
     stats.corruptSkipped = 1;
     stats.resumeMs = 99;
-    stats.journalAppends = 4;
-    stats.journalReplayed = 11;
+    stats.saveFailures = 4;
+    stats.resumedCycles = 11;
 
     Writer w;
     saveCounters(w, stats);

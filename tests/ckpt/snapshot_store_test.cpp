@@ -94,6 +94,17 @@ TEST_F(SnapshotStoreTest, EverySingleBitFlipRejects)
     }
 }
 
+TEST_F(SnapshotStoreTest, UnknownKindRejects)
+{
+    // Kind 2 once named the sweep journal; chip runs are the only kind
+    // left, so an intact envelope of any other kind must not decode.
+    Snapshot snap = sampleSnapshot();
+    snap.kind = static_cast<SnapshotKind>(2);
+    const std::vector<std::uint8_t> bytes = encodeSnapshot(snap);
+    EXPECT_THROW(decodeSnapshot(bytes.data(), bytes.size()),
+                 CorruptSnapshot);
+}
+
 TEST_F(SnapshotStoreTest, FileRoundTripAndMissingFile)
 {
     std::filesystem::create_directories(dir_);

@@ -41,8 +41,8 @@ TEST_F(FaultTest, SiteNames)
     EXPECT_STREQ(fault::siteName(Site::kNetShortWrite), "net.short_write");
     EXPECT_STREQ(fault::siteName(Site::kNetEagain), "net.eagain");
     EXPECT_STREQ(fault::siteName(Site::kNetDisconnect), "net.disconnect");
-    EXPECT_STREQ(fault::siteName(Site::kExecThrow), "exec.throw");
-    EXPECT_STREQ(fault::siteName(Site::kExecStall), "exec.stall");
+    EXPECT_STREQ(fault::siteName(Site::kCkptWrite), "ckpt.write");
+    EXPECT_STREQ(fault::siteName(Site::kCkptLoad), "ckpt.load");
 }
 
 TEST_F(FaultTest, BareSiteAlwaysFires)
@@ -58,10 +58,10 @@ TEST_F(FaultTest, BareSiteAlwaysFires)
 
 TEST_F(FaultTest, AfterSkipsLeadingOps)
 {
-    fault::configure("exec.throw:after=3");
+    fault::configure("net.eagain:after=3");
     std::vector<bool> draws;
     for (int i = 0; i < 6; ++i)
-        draws.push_back(fault::shouldFire(Site::kExecThrow));
+        draws.push_back(fault::shouldFire(Site::kNetEagain));
     EXPECT_EQ(draws, (std::vector<bool>{false, false, false, true, true,
                                         true}));
 }
@@ -79,11 +79,11 @@ TEST_F(FaultTest, LimitCapsFires)
 
 TEST_F(FaultTest, ParamReturnsConfiguredOrFallback)
 {
-    EXPECT_EQ(fault::param(Site::kExecStall, 50), 50u);
-    fault::configure("exec.stall:param=7");
-    EXPECT_EQ(fault::param(Site::kExecStall, 50), 7u);
-    fault::configure("exec.stall:p=1");
-    EXPECT_EQ(fault::param(Site::kExecStall, 50), 50u); // param unset
+    EXPECT_EQ(fault::param(Site::kCkptWrite, 50), 50u);
+    fault::configure("ckpt.write:param=7");
+    EXPECT_EQ(fault::param(Site::kCkptWrite, 50), 7u);
+    fault::configure("ckpt.write:p=1");
+    EXPECT_EQ(fault::param(Site::kCkptWrite, 50), 50u); // param unset
 }
 
 TEST_F(FaultTest, ProbabilityStreamIsDeterministic)
@@ -143,6 +143,14 @@ TEST_F(FaultTest, MalformedSpecsAreFatal)
     EXPECT_THROW(fault::configure("io.write:p=abc"), FatalError);
     EXPECT_THROW(fault::configure("io.write:frequency=2"), FatalError);
     EXPECT_THROW(fault::configure(","), FatalError);
+}
+
+TEST_F(FaultTest, RemovedExperimentSitesAreUnknown)
+{
+    // Experiments are deterministic, so nothing retries them and there
+    // is no experiment seam left to arm.
+    EXPECT_THROW(fault::configure("exec.throw"), FatalError);
+    EXPECT_THROW(fault::configure("exec.stall:param=7"), FatalError);
 }
 
 } // namespace

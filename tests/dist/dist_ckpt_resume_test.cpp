@@ -1,29 +1,27 @@
 /**
  * @file
- * Durable coordinator sweeps: with SMTFLEX_CKPT on, every delivered
- * chunk's records are journaled (fsync-per-append) before the planner
- * marks the chunk complete. These tests model the SIGKILL-and-restart
- * cycle in process: a fresh Coordinator pointed at the same checkpoint
- * directory must replay the journal and produce the byte-identical sweep
+ * Durable coordinator sweeps: every record the fleet delivers is stored
+ * into the coordinator's ResultCache and flushed before the planner marks
+ * its chunk complete, so the cache is the sweep's only durable log. These
+ * tests model the SIGKILL-and-restart cycle in process: a fresh
+ * Coordinator on the same cache file must produce the byte-identical sweep
  * output with zero recompute of delivered chunks — even with no fleet at
- * all — and a coordinator resuming from a partial journal must dispatch
- * only the undelivered remainder.
+ * all — and a coordinator resuming from a partial cache must dispatch only
+ * the undelivered remainder.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ckpt/journal.h"
-#include "ckpt/store.h"
 #include "dist/coordinator.h"
 #include "serve/commands.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "study/result_cache.h"
 #include "study/study_engine.h"
 #include "tests/common/temp_path.h"
 
@@ -75,17 +73,21 @@ class TestBackend
     std::thread thread_;
 };
 
+/** A coordinator over @p backends whose result cache lives at
+ * @p cache_path. */
 CoordinatorOptions
-coordOptions(const std::vector<BackendConfig> &backends)
+coordOptions(const std::vector<BackendConfig> &backends,
+             const std::string &cache_path)
 {
     CoordinatorOptions options;
     options.server.port = 0;
     options.server.study = fastStudy();
+    options.server.study.cachePath = cache_path;
     options.backends = backends;
     options.pool.probeTimeoutMs = 500;
     options.pool.connectTimeoutMs = 500;
     options.stealAfterMs = 2'000;
-    options.chunkRows = 1; // many chunks, one journal frame per chunk
+    options.chunkRows = 1; // many chunks, one cache flush per chunk
     return options;
 }
 
@@ -103,50 +105,38 @@ class DistCkptResumeTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = testTempPath("smtflex_dist_ckpt_resume");
-        std::filesystem::remove_all(dir_);
-        // A huge snapshot interval: the tiny study runs never cross it,
-        // so the test isolates the journal from chip snapshotting.
-        ckpt::configureProcess(dir_, 1'000'000'000);
+        path_ = testTempPath("smtflex_dist_ckpt_resume") + ".txt";
+        removeTestTempFiles(path_);
     }
 
-    void TearDown() override
-    {
-        ckpt::resetProcess();
-        std::filesystem::remove_all(dir_);
-        std::filesystem::remove_all(dir_ + "2");
-    }
+    void TearDown() override { removeTestTempFiles(path_); }
 
-    std::string dir_;
+    /** The coordinators' shared result cache (and its shard segments). */
+    std::string path_;
 };
 
 TEST_F(DistCkptResumeTest, RestartedCoordinatorReplaysAndRecomputesNothing)
 {
-    // Phase 1: a live 2-backend fleet computes the sweep; every chunk is
-    // journaled before completion.
+    // Phase 1: a live 2-backend fleet computes the sweep; every chunk's
+    // records reach the coordinator's cache file before completion.
     std::string expected;
-    std::uint64_t delivered_chunks = 0;
     {
         TestBackend b0, b1;
-        Coordinator first(coordOptions({b0.config(), b1.config()}));
+        Coordinator first(coordOptions({b0.config(), b1.config()}, path_));
         const Json body = first.execute(sweepRequest("mcf"));
         ASSERT_TRUE(body.at("ok").asBool());
         expected = body.at("output").asString();
-        delivered_chunks = first.stats().chunksDispatched.load();
-        EXPECT_GT(delivered_chunks, 0u);
+        EXPECT_GT(first.stats().chunksDispatched.load(), 0u);
+        EXPECT_GT(first.stats().recordsStored.load(), 0u);
         EXPECT_EQ(first.stats().rowsLocal.load(), 0u);
     }
-    ASSERT_TRUE(
-        std::filesystem::exists(dir_ + "/sweep.journal"));
-    EXPECT_GT(ckpt::processStats().journalAppends.load(), 0u);
+    EXPECT_GT(ResultCache(path_).size(), 0u);
 
-    // Phase 2: the "restart after SIGKILL" — a brand-new coordinator,
-    // empty result cache, NO fleet at all. The journal alone must carry
+    // Phase 2: the "restart after SIGKILL" — a brand-new coordinator on
+    // the same cache file, NO fleet at all. The cache alone must carry
     // the sweep: byte-identical output, zero chunks dispatched, zero
     // records recomputed locally.
-    const auto replayed0 = ckpt::processStats().journalReplayed.load();
-    Coordinator resumed(coordOptions({}));
-    EXPECT_GT(ckpt::processStats().journalReplayed.load(), replayed0);
+    Coordinator resumed(coordOptions({}, path_));
 
     const Json body = resumed.execute(sweepRequest("mcf"));
     ASSERT_TRUE(body.at("ok").asBool());
@@ -156,48 +146,57 @@ TEST_F(DistCkptResumeTest, RestartedCoordinatorReplaysAndRecomputesNothing)
     EXPECT_EQ(resumed.stats().rowsLocal.load(), 0u);
 }
 
-TEST_F(DistCkptResumeTest, PartialJournalResumesComputingOnlyTheRemainder)
+TEST_F(DistCkptResumeTest, PartialCacheResumesComputingOnlyTheRemainder)
 {
-    // Phase 1 as above: produce a complete journal.
+    // Phase 1 as above: produce a complete cache.
+    const serve::Request request = sweepRequest("milc");
     std::string expected;
     std::uint64_t full_chunks = 0;
     {
         TestBackend b0;
-        Coordinator first(coordOptions({b0.config()}));
-        const Json body = first.execute(sweepRequest("milc"));
+        Coordinator first(coordOptions({b0.config()}, path_));
+        const Json body = first.execute(request);
         ASSERT_TRUE(body.at("ok").asBool());
         expected = body.at("output").asString();
         full_chunks = first.stats().chunksDispatched.load();
         EXPECT_GT(full_chunks, 1u);
     }
 
-    // Model a kill mid-sweep: rebuild the journal in a second checkpoint
-    // directory holding only the first half of the delivered records.
-    std::vector<ckpt::SweepJournal::Record> records;
-    {
-        ckpt::SweepJournal full(dir_ + "/sweep.journal",
-                                &ckpt::processStats());
-        full.replay([&](const ckpt::SweepJournal::Record &r) {
-            records.push_back(r);
-        });
+    // The sweep's rows as the coordinator cuts them, each with its keys.
+    const serve::SweepRequest &req = request.sweep;
+    const ChipConfig cfg = serve::buildDesign(req.design, req.noSmt,
+                                              req.hasBw, req.bw, false);
+    const StudyEngine keys(fastStudy());
+    std::vector<std::vector<std::string>> row_keys;
+    for (const std::uint32_t n : keys.sweepThreadCounts()) {
+        if (n > cfg.totalContexts())
+            break;
+        row_keys.push_back(
+            keys.sweepRowCacheKeys(cfg, req.bench, req.het, n));
     }
-    ASSERT_GT(records.size(), 3u);
-    const std::string dir2 = dir_ + "2";
-    std::filesystem::create_directories(dir2);
+    ASSERT_GT(row_keys.size(), 1u);
+
+    // Model a kill mid-sweep: a second cache holding only the first half
+    // of the rows' records.
+    const std::string partial_path = path_ + ".partial";
     {
-        ckpt::SweepJournal partial(dir2 + "/sweep.journal",
-                                   &ckpt::processStats());
-        records.resize(records.size() / 2);
-        ASSERT_TRUE(partial.append(records));
+        const ResultCache full(path_);
+        ResultCache partial(partial_path);
+        for (std::size_t r = 0; r < row_keys.size() / 2; ++r) {
+            for (const auto &key : row_keys[r]) {
+                const auto values = full.lookup(key);
+                ASSERT_TRUE(values.has_value()) << key;
+                partial.store(key, *values);
+            }
+        }
     }
 
     // Phase 2: resume against a COLD backend (nothing to federate). The
-    // coordinator must dispatch only the rows the partial journal does
-    // not cover, and still render the byte-identical sweep.
-    ckpt::configureProcess(dir2, 1'000'000'000);
+    // coordinator must dispatch only the rows the partial cache does not
+    // cover, and still render the byte-identical sweep.
     TestBackend cold;
-    Coordinator resumed(coordOptions({cold.config()}));
-    const Json body = resumed.execute(sweepRequest("milc"));
+    Coordinator resumed(coordOptions({cold.config()}, partial_path));
+    const Json body = resumed.execute(request);
     ASSERT_TRUE(body.at("ok").asBool());
     EXPECT_EQ(body.at("output").asString(), expected);
     EXPECT_GT(resumed.stats().chunksDispatched.load(), 0u);
@@ -205,10 +204,11 @@ TEST_F(DistCkptResumeTest, PartialJournalResumesComputingOnlyTheRemainder)
     EXPECT_EQ(resumed.stats().recordsMissingAtRender.load(), 0u);
     EXPECT_EQ(resumed.stats().rowsLocal.load(), 0u);
 
-    // Phase 3: the resumed coordinator journaled what it computed, so a
-    // third "restart" — fleet-less — needs no recompute at all.
-    Coordinator third(coordOptions({}));
-    const Json final_body = third.execute(sweepRequest("milc"));
+    // Phase 3: the resumed coordinator stored what the fleet computed in
+    // the partial cache, so a third "restart" — fleet-less — needs no
+    // recompute at all.
+    Coordinator third(coordOptions({}, partial_path));
+    const Json final_body = third.execute(request);
     ASSERT_TRUE(final_body.at("ok").asBool());
     EXPECT_EQ(final_body.at("output").asString(), expected);
     EXPECT_EQ(third.stats().chunksDispatched.load(), 0u);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for parallel_for / par_do / ExperimentRunner: every index runs
- * exactly once for any worker count, results land by task index, and
- * nesting matches the serial semantics.
+ * Tests for parallel_for / par_do / map / mapItems: every index runs
+ * exactly once for any worker count, results land by task index, a
+ * failing index fails the map, and nesting matches the serial semantics.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/experiment_runner.h"
+#include "common/log.h"
 #include "exec/parallel.h"
 
 namespace smtflex {
@@ -92,14 +92,13 @@ TEST(ParDoTest, RunsBothBranches)
     }
 }
 
-TEST(ExperimentRunnerTest, ResultsLandByIndexForAnyWorkerCount)
+TEST(MapTest, ResultsLandByIndexForAnyWorkerCount)
 {
     for (const unsigned workers : {0u, 1u, 4u, 8u}) {
         ThreadPool pool(workers);
-        ExperimentRunner runner(&pool);
-        const auto results = runner.map(257, [](std::size_t i) {
-            return static_cast<double>(i * i);
-        });
+        const auto results = map(
+            257, [](std::size_t i) { return static_cast<double>(i * i); },
+            &pool);
         ASSERT_EQ(results.size(), 257u);
         for (std::size_t i = 0; i < results.size(); ++i)
             ASSERT_DOUBLE_EQ(results[i], static_cast<double>(i * i))
@@ -107,31 +106,48 @@ TEST(ExperimentRunnerTest, ResultsLandByIndexForAnyWorkerCount)
     }
 }
 
-TEST(ExperimentRunnerTest, MapItemsKeepsItemOrder)
+TEST(MapTest, MapItemsKeepsItemOrder)
 {
     ThreadPool pool(3);
-    ExperimentRunner runner(&pool);
     const std::vector<std::string> items = {"aa", "b", "cccc", "", "dd"};
-    const auto lengths = runner.mapItems(
-        items, [](const std::string &s) { return s.size(); });
+    const auto lengths = mapItems(
+        items, [](const std::string &s) { return s.size(); }, &pool);
     EXPECT_EQ(lengths,
               (std::vector<std::size_t>{2, 1, 4, 0, 2}));
 }
 
-TEST(ExperimentRunnerTest, UnbalancedTaskCostsStillOrdered)
+TEST(MapTest, UnbalancedTaskCostsStillOrdered)
 {
     // Tasks with wildly different costs finish out of order; results must
     // not.
     ThreadPool pool(4);
-    ExperimentRunner runner(&pool);
-    const auto results = runner.map(64, [](std::size_t i) {
-        volatile double sink = 0;
-        for (std::size_t k = 0; k < (i % 2 ? 200'000u : 10u); ++k)
-            sink += static_cast<double>(k);
-        return static_cast<int>(i);
-    });
+    const auto results = map(
+        64,
+        [](std::size_t i) {
+            volatile double sink = 0;
+            for (std::size_t k = 0; k < (i % 2 ? 200'000u : 10u); ++k)
+                sink = sink + static_cast<double>(k);
+            return static_cast<int>(i);
+        },
+        &pool);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(results[i], i);
+}
+
+TEST(MapTest, ThrowingIndexFailsTheMap)
+{
+    // One failing experiment fails the whole map, whatever the worker
+    // count: no retry, no partial result to aggregate.
+    for (const unsigned workers : {0u, 1u, 4u}) {
+        ThreadPool pool(workers);
+        const auto fn = [](std::size_t i) {
+            if (i == 7)
+                throw FatalError("experiment 7 failed");
+            return static_cast<int>(i);
+        };
+        EXPECT_THROW(map(12, fn, &pool), FatalError)
+            << workers << " workers";
+    }
 }
 
 } // namespace

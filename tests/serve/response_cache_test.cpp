@@ -53,8 +53,9 @@ TEST(ResponseCacheTest, EvictionIsFifoWithinAShard)
     // Whatever survived must still map to its own body.
     for (int i = 0; i < 64; ++i) {
         const auto hit = cache.lookup("key-" + std::to_string(i));
-        if (hit)
+        if (hit) {
             EXPECT_EQ(*hit, std::to_string(i));
+        }
     }
 }
 

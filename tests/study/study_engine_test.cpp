@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "common/log.h"
 #include "study/design_space.h"
@@ -193,6 +196,65 @@ TEST(StudyEngineTest, ConfiguredAppliesBandwidth)
     EXPECT_DOUBLE_EQ(eng.configured(paperDesign("4B")).dram.busBandwidthGBps,
                      16.0);
 }
+
+// A CRC-less legacy line cut right after its key loads as an empty record;
+// decoding it must fail loudly, not read past its end.
+TEST(StudyEngineTest, EmptyIsolatedRecordIsFatal)
+{
+    StudyOptions opts = fastOptions();
+    const std::string bench = specBenchmarkNames()[0];
+    // isolationCacheKeys() starts with bench 0 on the big core.
+    const std::string key = StudyEngine(opts).isolationCacheKeys()[0];
+    opts.cachePath = testTempPath("smtflex_empty_iso_record") + ".txt";
+    std::ofstream(opts.cachePath, std::ios::trunc) << key << "|\n";
+    StudyEngine eng(opts);
+    EXPECT_THROW(eng.isolatedIpc(bench, CoreType::kBig), FatalError);
+    removeTestTempFiles(opts.cachePath);
+}
+
+#ifdef SMTFLEX_SOURCE_DIR
+
+// The same defect inside a sweep row: the seed cache with its 4B mcfx4
+// record cut to two values. The row must fail naming the key, never
+// aggregate the other 11 workloads as if nothing happened.
+TEST(StudyEngineTest, ShortRecordFailsItsSweepRowNamingTheKey)
+{
+    const std::string key = "mp;4B;smt1;bw8;b12000;w3000;s12345;mcfx4";
+    StudyOptions opts; // the seed cache's identity: defaults
+    opts.cachePath = testTempPath("smtflex_short_record") + ".txt";
+    {
+        std::ifstream in(std::string(SMTFLEX_SOURCE_DIR) +
+                         "/smtflex_cache.txt");
+        std::ofstream out(opts.cachePath, std::ios::trunc);
+        std::string line;
+        std::size_t cut = 0;
+        while (std::getline(in, line)) {
+            if (line.starts_with(key + "|")) {
+                std::istringstream values(line.substr(key.size() + 1));
+                std::string first, second;
+                values >> first >> second;
+                line = key + "|" + first + " " + second;
+                ++cut;
+            }
+            out << line << '\n';
+        }
+        ASSERT_EQ(cut, 1u);
+    }
+    StudyEngine eng(opts);
+    try {
+        const RunMetrics m = eng.homogeneousAt(paperDesign("4B"), 4);
+        ADD_FAILURE() << "aggregated a short record: STP " << m.stp;
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(key), std::string::npos) << what;
+        EXPECT_NE(what.find("holds 2 value(s), expected 6"),
+                  std::string::npos)
+            << what;
+    }
+    removeTestTempFiles(opts.cachePath);
+}
+
+#endif // SMTFLEX_SOURCE_DIR
 
 TEST(StudyOptionsTest, EnvOverrides)
 {
