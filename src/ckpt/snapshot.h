@@ -39,7 +39,7 @@ namespace smtflex {
 namespace ckpt {
 
 /** Current envelope version; bumped on any layout change. */
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** What a snapshot's payload serializes. */
 enum class SnapshotKind : std::uint32_t {

@@ -59,7 +59,6 @@ OnlineProfiler::sampleUncached(const BenchmarkProfile &profile,
     solo = solo.withBandwidth(options_.bandwidthGBps);
 
     ChipSim chip(solo);
-    chip.setFastForward(options_.fastForward);
     chip.enableSampling(options_.sampleQuantum);
     const std::vector<ThreadSpec> specs = {
         {&profile, options_.sampleBudget, options_.sampleWarmup}};

@@ -45,9 +45,6 @@ struct ProfilerOptions
     std::uint64_t seed = 12'345;
     /** Off-chip bandwidth of the sample chips (match the target study). */
     double bandwidthGBps = 8.0;
-    /** Event-driven fast-forward in the sample runs (results are
-     * bit-identical either way; strict is the differential check). */
-    bool fastForward = true;
 };
 
 class OnlineProfiler

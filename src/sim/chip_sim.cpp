@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <map>
 #include <utility>
 
-#include "ckpt/store.h"
 #include "common/env.h"
 #include "common/log.h"
+#include "sim/run_ckpt.h"
 
 namespace smtflex {
 
@@ -139,23 +138,6 @@ ChipSim::tick()
         maybeSample();
 }
 
-Cycle
-ChipSim::nextEventCycle()
-{
-    Cycle event = kCycleNever;
-    for (const auto &core : cores_) {
-        // Mirror tick()'s ticking condition: unpowered quiescent cores do
-        // not advance, so they contribute no events (attach only happens
-        // at strictly simulated cycles).
-        if (core->activeContexts() == 0 && core->quiescent())
-            continue;
-        event = std::min(event, core->nextEventCycle(now_));
-        if (event <= now_ + 1)
-            return now_ + 1; // some core may act next cycle: no skip
-    }
-    return event;
-}
-
 void
 ChipSim::flushCore(std::uint32_t i)
 {
@@ -242,8 +224,7 @@ ChipSim::jumpIdleSpan(Cycle bound)
     // so the sampled counters cannot differ from the strict loop's.)
     if (samplingInterval_ != 0)
         bound = std::min(bound, nextSample_);
-    // Jump only when every core is asleep or parked — checked against
-    // the *current* state, after any rotation/attach woke cores.
+    // Jump only when every core is asleep or parked.
     for (const std::uint64_t word : awakeMask_)
         if (word != 0)
             return; // some core is awake: it could act next cycle
@@ -277,15 +258,9 @@ void
 ChipSim::run(Cycle cycles)
 {
     const Cycle end = now_ + cycles;
-    if (!fastForward_) {
-        while (now_ < end)
-            tick();
-        return;
-    }
     while (now_ < end) {
-        stepCores();
-        if (now_ < end)
-            jumpIdleSpan(end);
+        step();
+        jumpIdleSpan(end);
     }
     wakeAllCores();
 }
@@ -377,16 +352,14 @@ ChipSim::validatePlacement(const Placement &placement,
 
 void
 ChipSim::saveState(ckpt::Writer &w,
-                   const std::vector<ThreadSource *> &threads) const
+                   const std::vector<std::unique_ptr<SimThread>> &threads)
+    const
 {
-    std::map<const ThreadSource *, std::uint32_t> index;
-    for (std::uint32_t i = 0; i < threads.size(); ++i)
-        index[threads[i]] = i;
     const auto thread_index = [&](const ThreadSource *t) {
-        const auto it = index.find(t);
-        if (it == index.end())
-            fatal("ChipSim::saveState: thread not in the thread table");
-        return it->second;
+        for (std::uint32_t i = 0; i < threads.size(); ++i)
+            if (threads[i].get() == t)
+                return i;
+        fatal("ChipSim::saveState: thread not in the thread table");
     };
 
     w.u64(now_);
@@ -422,12 +395,12 @@ ChipSim::saveState(ckpt::Writer &w,
 
 void
 ChipSim::loadState(ckpt::Reader &r,
-                   const std::vector<ThreadSource *> &threads)
+                   const std::vector<std::unique_ptr<SimThread>> &threads)
 {
     const auto thread_at = [&](std::uint32_t idx) -> ThreadSource * {
         if (idx >= threads.size())
             throw ckpt::CorruptSnapshot("ckpt: thread index out of range");
-        return threads[idx];
+        return threads[idx].get();
     };
 
     now_ = r.u64();
@@ -477,152 +450,6 @@ ChipSim::loadState(ckpt::Reader &r,
         awakeMask_[i / 64] |= std::uint64_t{1} << (i % 64);
     wakeHeap_ = {};
 }
-
-namespace {
-
-/** Feed every field that shapes simulated behaviour into @p w — the
- * resulting byte stream is hashed into the resume key, so two runs share
- * snapshots only when *all* of it matches. Names alone would not do:
- * identically named configs or profiles with different parameters must
- * never resume each other's state. */
-void
-hashGeometry(ckpt::Writer &w, const CacheGeometry &g)
-{
-    w.u64(g.sizeBytes);
-    w.u32(g.assoc);
-    w.u32(g.lineSize);
-}
-
-void
-hashCoreParams(ckpt::Writer &w, const CoreParams &p)
-{
-    w.str(p.name);
-    w.u32(static_cast<std::uint32_t>(p.type));
-    w.boolean(p.outOfOrder);
-    w.u32(p.width);
-    w.u32(p.robSize);
-    w.u32(p.maxSmtContexts);
-    w.u32(static_cast<std::uint32_t>(p.fetchPolicy));
-    w.u32(p.intUnits);
-    w.u32(p.ldstUnits);
-    w.u32(p.mulUnits);
-    w.u32(p.fpUnits);
-    w.u32(p.latIntAlu);
-    w.u32(p.latIntMul);
-    w.u32(p.latFp);
-    w.u32(p.latBranch);
-    w.u32(p.mispredictPenalty);
-    hashGeometry(w, p.l1i);
-    hashGeometry(w, p.l1d);
-    hashGeometry(w, p.l2);
-    w.u32(p.latL1);
-    w.u32(p.latL2);
-    w.u32(p.mshrs);
-    w.boolean(p.dataPrefetch);
-    w.f64(p.freqGHz);
-}
-
-void
-hashChipConfig(ckpt::Writer &w, const ChipConfig &c)
-{
-    w.str(c.name);
-    w.u32(c.numCores());
-    for (const CoreParams &p : c.cores)
-        hashCoreParams(w, p);
-    w.boolean(c.smtEnabled);
-    hashGeometry(w, c.llc);
-    w.u32(c.llcLatency);
-    w.u32(c.xbar.hopLatency);
-    w.u32(c.xbar.numBanks);
-    w.u32(c.xbar.bankOccupancy);
-    w.boolean(c.useMesh);
-    w.u32(c.mesh.hopLatency);
-    w.u32(c.mesh.bankOccupancy);
-    w.u32(c.mesh.numBanks);
-    w.u32(c.dram.numBanks);
-    w.f64(c.dram.accessTimeNs);
-    w.f64(c.dram.busBandwidthGBps);
-    w.f64(c.dram.clockGHz);
-    w.f64(c.chipFreqGHz);
-}
-
-void
-hashProfile(ckpt::Writer &w, const BenchmarkProfile &p)
-{
-    w.str(p.name);
-    w.f64(p.mix.load);
-    w.f64(p.mix.store);
-    w.f64(p.mix.intAlu);
-    w.f64(p.mix.intMul);
-    w.f64(p.mix.fp);
-    w.f64(p.mix.branch);
-    w.f64(p.meanDepDist);
-    w.f64(p.depNoneProb);
-    w.f64(p.branchMispredictRate);
-    w.f64(p.branchTakenProb);
-    w.u64(p.codeFootprint);
-    w.f64(p.jumpLocality);
-    w.u64(p.hotCodeBytes);
-    w.u32(static_cast<std::uint32_t>(p.regions.size()));
-    for (const MemRegion &region : p.regions) {
-        w.u64(region.bytes);
-        w.f64(region.probability);
-        w.boolean(region.streaming);
-    }
-    w.u32(p.accessSkew);
-}
-
-/**
- * The resume key of a runMultiProgram() call: everything the simulated
- * state at a pre-finish cycle is a function of. Budget and maxCycles are
- * deliberately *excluded* — until the first thread finishes its budget,
- * the state stream is budget-independent, which is exactly what turns
- * exact-hit caching into prefix reuse (a longer run warm-starts from a
- * shorter run's snapshots). Eligibility against the new budgets/limits
- * is checked per snapshot via its meta header.
- */
-std::string
-multiProgramCkptKey(const ChipConfig &config,
-                    const std::vector<ThreadSpec> &specs,
-                    const Placement &placement, std::uint64_t seed,
-                    const RunLimits &limits, Cycle sampling_interval,
-                    std::size_t sampling_max_points)
-{
-    ckpt::Writer w;
-    hashChipConfig(w, config);
-    w.u32(static_cast<std::uint32_t>(specs.size()));
-    for (const ThreadSpec &spec : specs) {
-        hashProfile(w, *spec.profile);
-        w.u64(spec.warmup);
-    }
-    for (const Placement::Entry &e : placement.entries) {
-        w.u32(e.core);
-        w.u32(e.slot);
-    }
-    w.u64(seed);
-    w.u64(limits.quantum);
-    w.u64(sampling_interval);
-    w.u64(sampling_max_points);
-    const std::uint64_t hash = ckpt::keyHash64(std::string(
-        reinterpret_cast<const char *>(w.bytes().data()), w.size()));
-
-    std::string key = config.name;
-    key += ";s" + std::to_string(seed);
-    key += ";q" + std::to_string(limits.quantum);
-    key += ";t";
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (i)
-            key += "+";
-        key += specs[i].profile->name + ":" +
-            std::to_string(specs[i].warmup) + "@" +
-            std::to_string(placement.entries[i].core) + "." +
-            std::to_string(placement.entries[i].slot);
-    }
-    key += ";h" + std::to_string(hash);
-    return key;
-}
-
-} // namespace
 
 SimResult
 ChipSim::runMultiProgram(const std::vector<ThreadSpec> &specs,
@@ -674,93 +501,23 @@ ChipSim::runMultiProgram(const std::vector<ThreadSpec> &specs,
     for (const auto &share : shares)
         time_sharing |= share.threads.size() > 1;
 
-    // Checkpoint/restore (smtflex::ckpt, DESIGN.md §15). When the process
-    // binding is on, look for the newest eligible snapshot of this run's
-    // key and resume it instead of cold-starting; either way, the loop
-    // below snapshots at every ckpt_interval boundary until the first
-    // thread finishes. Hoisted rotation clock: the resident rotation
-    // schedule is part of the resumable state.
-    std::vector<ThreadSource *> thread_table;
-    thread_table.reserve(threads.size());
-    for (const auto &thread : threads)
-        thread_table.push_back(thread.get());
-    const ckpt::ProcessBinding *ckpt_binding = ckpt::processBinding();
-    const Cycle ckpt_interval = ckpt_binding ? ckpt_binding->interval : 0;
-    std::string ckpt_key;
-    Cycle last_ckpt = 0;
-    Cycle last_rotation = 0;
-    bool resumed = false;
-    if (ckpt_binding) {
-        ckpt_key =
-            multiProgramCkptKey(config_, specs, placement, seed, limits,
-                                samplingInterval_, samplingMaxPoints_);
-        // Eligible = taken strictly before this run's budgets finish and
-        // before its cycle limit, with matching thread count and warmups
-        // (budget-independent prefix; see multiProgramCkptKey).
-        const auto eligible = [&](const ckpt::Snapshot &snap) {
-            if (snap.kind != ckpt::SnapshotKind::kChipRun)
-                return false;
-            if (snap.cycle == 0 || snap.cycle >= limits.maxCycles)
-                return false;
-            try {
-                ckpt::Reader m(snap.meta);
-                m.count(specs.size(), "ckpt meta threads");
-                for (const ThreadSpec &spec : specs) {
-                    const std::uint64_t retired = m.u64();
-                    const std::uint64_t warmup = m.u64();
-                    if (warmup != spec.warmup)
-                        return false;
-                    if (retired >= spec.warmup + spec.budget)
-                        return false;
-                }
-                m.expectEnd();
-            } catch (const ckpt::CorruptSnapshot &) {
-                return false;
-            }
-            return true;
-        };
-        const auto t0 = std::chrono::steady_clock::now();
-        if (auto snap = ckpt_binding->store.best(ckpt_key, eligible)) {
-            // The payload passed CRC + key echo, so structural failure
-            // below means a snapshot-format bug, not disk corruption —
-            // and the chip is already partially mutated, so falling back
-            // to a cold start is no longer possible. Fail loudly.
-            try {
-                ckpt::Reader r(snap->payload);
-                for (auto &thread : threads)
-                    thread->loadState(r);
-                loadState(r, thread_table);
-                r.count(shares.size(), "slot shares");
-                for (auto &share : shares) {
-                    share.resident = r.u32();
-                    if (share.resident >= share.threads.size())
-                        throw ckpt::CorruptSnapshot(
-                            "ckpt: resident thread out of range");
-                }
-                last_rotation = r.u64();
-                r.expectEnd();
-            } catch (const ckpt::CorruptSnapshot &e) {
-                fatal("ckpt: CRC-valid snapshot for key '", ckpt_key,
-                      "' failed structural restore (", e.what(),
-                      "); remove ", ckpt_binding->store.dir());
-            }
-            last_ckpt = now_;
-            resumed = true;
-            auto &cs = ckpt::processStats();
-            cs.hits.fetch_add(1, std::memory_order_relaxed);
-            cs.resumedCycles.fetch_add(now_, std::memory_order_relaxed);
-            cs.resumeMs.fetch_add(
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()),
-                std::memory_order_relaxed);
-            inform("ckpt: ", config_.name, " resumed at cycle ", now_);
-        } else {
-            ckpt::processStats().misses.fetch_add(
-                1, std::memory_order_relaxed);
+    // Checkpoint/restore (DESIGN.md §15). When the process binding is on,
+    // resume the newest eligible snapshot of this run instead of
+    // cold-starting; either way, the loop below snapshots on the
+    // checkpoint grid until the first thread finishes.
+    const RunCheckpoint checkpoint(config_, specs, placement, seed, limits,
+                                   samplingInterval_, samplingMaxPoints_,
+                                   threads);
+    const bool resumed = checkpoint.resume([&](ckpt::Reader &r) {
+        loadState(r, threads);
+        r.count(shares.size(), "slot shares");
+        for (auto &share : shares) {
+            share.resident = r.u32();
+            if (share.resident >= share.threads.size())
+                throw ckpt::CorruptSnapshot(
+                    "ckpt: resident thread out of range");
         }
-    }
+    });
 
     if (!resumed) {
         for (const auto &share : shares)
@@ -789,97 +546,63 @@ ChipSim::runMultiProgram(const std::vector<ThreadSpec> &specs,
     for (auto &thread : threads)
         thread->notifyFinishTo(&finished_eager);
     std::uint32_t finished = 0;
-    const auto sync_finished = [&] {
-        if (now_ % 256 == 0 || !time_sharing)
-            finished = finished_eager;
-    };
-    // The fast-forward path checks for rotation both after the step and
-    // after the jump (either can land on a quantum boundary), so the
-    // rotation itself must be idempotent per cycle. (last_rotation is
-    // hoisted above: it is restored on resume.)
-    const auto rotate_shares = [&] {
-        if (!time_sharing || now_ % limits.quantum != 0 ||
-            now_ == last_rotation)
-            return;
-        last_rotation = now_;
-        for (auto &share : shares) {
-            if (share.threads.size() < 2)
-                continue;
-            detach(share.core, share.slot);
-            share.resident = (share.resident + 1) %
-                static_cast<std::uint32_t>(share.threads.size());
-            attach(share.core, share.slot,
-                   threads[share.threads[share.resident]].get());
-        }
-    };
-    // Periodic snapshot. Only at ckpt_interval boundaries, and only
-    // while no thread has finished its budget (the pre-finish state is
-    // budget-independent, so any later run sharing the key can resume
-    // it — warm-start). wakeAllCores() first settles all deferred
-    // fast-forward accounting into the strict-equivalent state that
-    // saveState requires; since the uninterrupted run passes through
-    // that exact all-awake state here too, a resumed run continues
-    // bit-identically (flushCore is result-neutral, so the extra wake
-    // churn never shows in results).
-    const auto maybe_checkpoint = [&] {
-        if (ckpt_interval == 0 || now_ == last_ckpt ||
-            now_ % ckpt_interval != 0 || finished_eager != 0)
-            return;
-        last_ckpt = now_;
-        wakeAllCores();
-        ckpt::Writer meta;
-        meta.u32(static_cast<std::uint32_t>(threads.size()));
-        for (const auto &thread : threads) {
-            meta.u64(thread->retired());
-            meta.u64(thread->warmup());
-        }
-        ckpt::Writer payload;
-        for (const auto &thread : threads)
-            thread->saveState(payload);
-        saveState(payload, thread_table);
-        payload.u32(static_cast<std::uint32_t>(shares.size()));
-        for (const auto &share : shares)
-            payload.u32(share.resident);
-        payload.u64(last_rotation);
-        ckpt_binding->store.save({ckpt::SnapshotKind::kChipRun, ckpt_key,
-                                  now_, meta.take(), payload.take()});
-    };
-    while (finished < threads.size() && now_ < limits.maxCycles) {
-        if (fastForward_)
-            stepCores(); // idle cores sleep instead of ticking
-        else
-            tick();
-        rotate_shares();
-        sync_finished();
-        maybe_checkpoint();
 
-        // When every core sleeps, jump straight to the earliest wake.
-        // The jump happens only after this cycle's rotation and
-        // completion sampling, and clamps to time-sharing quantum
-        // boundaries (thread rotation must run at exactly the strict
-        // cycles) and — while a finish has happened but has not been
-        // observed yet — to the 256-cycle completion-sampling
-        // boundaries, so the loop exits at exactly the strict run's
-        // cycle. No retire can happen inside a sleep span, so the
-        // completion counter cannot advance across a jump.
-        if (fastForward_ && finished < threads.size() &&
-            now_ < limits.maxCycles) {
-            Cycle bound = limits.maxCycles;
-            if (time_sharing) {
-                bound = std::min(
-                    bound, (now_ / limits.quantum + 1) * limits.quantum);
-                if (finished_eager != finished)
-                    bound = std::min(bound, (now_ / 256 + 1) * 256);
+    // The boundary schedule. Both grids start after now_: cycle 0, or a
+    // resumed snapshot's cycle, whose actions ran before it was saved.
+    const auto first_after = [this](Cycle grain) {
+        return grain != 0 ? (now_ / grain + 1) * grain : kCycleNever;
+    };
+    Cycle next_rotation = first_after(time_sharing ? limits.quantum : 0);
+    Cycle next_ckpt = first_after(checkpoint.interval());
+    while (finished < threads.size() && now_ < limits.maxCycles) {
+        step();
+        // When every core sleeps, jump straight to the earliest wake, but
+        // never past a cycle the strict loop acts at: thread rotations,
+        // snapshots and — while a finish is not yet observed — the
+        // completion sample (this very cycle without time sharing), so
+        // the loop exits at exactly the strict run's cycle. No retire can
+        // happen inside a sleep span, so the completion counter cannot
+        // advance across a jump.
+        Cycle bound = std::min({limits.maxCycles, next_rotation, next_ckpt});
+        if (finished_eager != finished)
+            bound = std::min(bound,
+                             time_sharing ? (now_ + 255) / 256 * 256 : now_);
+        jumpIdleSpan(bound);
+
+        if (now_ == next_rotation) {
+            for (auto &share : shares) {
+                if (share.threads.size() < 2)
+                    continue;
+                detach(share.core, share.slot);
+                share.resident = (share.resident + 1) %
+                    static_cast<std::uint32_t>(share.threads.size());
+                attach(share.core, share.slot,
+                       threads[share.threads[share.resident]].get());
             }
-            // Snapshots happen at exact interval boundaries; never jump
-            // across one.
-            if (ckpt_interval != 0)
-                bound = std::min(
-                    bound, (now_ / ckpt_interval + 1) * ckpt_interval);
-            jumpIdleSpan(bound);
-            rotate_shares();
-            sync_finished();
-            maybe_checkpoint();
+            next_rotation += limits.quantum;
+        }
+        if (!time_sharing || now_ % 256 == 0)
+            finished = finished_eager;
+        // Snapshot only while no thread has finished its budget: the
+        // pre-finish state is budget-independent, so any later run
+        // sharing the key can resume it (warm-start). wakeAllCores()
+        // first settles all deferred fast-forward accounting into the
+        // strict-equivalent state that saveState requires; since the
+        // uninterrupted run passes through that exact all-awake state
+        // here too, a resumed run continues bit-identically (flushCore
+        // is result-neutral, so the extra wake churn never shows in
+        // results).
+        if (now_ == next_ckpt) {
+            if (finished_eager == 0) {
+                wakeAllCores();
+                checkpoint.save(now_, [&](ckpt::Writer &w) {
+                    saveState(w, threads);
+                    w.u32(static_cast<std::uint32_t>(shares.size()));
+                    for (const auto &share : shares)
+                        w.u32(share.resident);
+                });
+            }
+            next_ckpt += checkpoint.interval();
         }
     }
     wakeAllCores();

@@ -206,13 +206,6 @@ class ChipSim
     /** Number of fast-forwarded sleep spans so far (diagnostics). */
     std::uint64_t fastForwardSpans() const { return ffSpans_; }
 
-    /**
-     * Conservative earliest global cycle at which any ticking core could
-     * dispatch, retire, or change state (min of Core::nextEventCycle over
-     * powered or draining cores; kCycleNever when all are inert).
-     */
-    Cycle nextEventCycle();
-
     /** One thread's working set to warm (see warmAllCaches). */
     struct WarmSpec
     {
@@ -257,33 +250,44 @@ class ChipSim
      * called in a strict-equivalent state (the run loops' boundaries,
      * after wakeAllCores() settled deferred fast-forward accounting);
      * the wake bookkeeping itself is then all-awake by construction and
-     * is not serialized. @p threads is the stable table that maps the
-     * ThreadSource pointers inside cores to indices and back.
+     * is not serialized. @p threads is the run's stable thread table:
+     * it maps the ThreadSource pointers inside cores to indices and back.
      */
     void saveState(ckpt::Writer &w,
-                   const std::vector<ThreadSource *> &threads) const;
+                   const std::vector<std::unique_ptr<SimThread>> &threads)
+        const;
 
     /** Restore state saved by an identically configured chip; throws
      * ckpt::CorruptSnapshot on structural mismatch. */
     void loadState(ckpt::Reader &r,
-                   const std::vector<ThreadSource *> &threads);
+                   const std::vector<std::unique_ptr<SimThread>> &threads);
 
   private:
     void validatePlacement(const Placement &placement,
                            std::size_t num_threads) const;
 
+    /** Advance one global cycle in the run loops — the one place they
+     * choose between fast-forward and strict stepping. */
+    void step()
+    {
+        if (fastForward_)
+            stepCores(); // idle cores sleep instead of ticking
+        else
+            tick();
+    }
+
     /**
      * Advance one global cycle the event-driven way: tick the awake
      * cores and put newly idle ones to sleep until their next event.
-     * Only called from the run loops; tick() stays strictly
-     * cycle-by-cycle.
+     * Only called from step(); tick() stays strictly cycle-by-cycle.
      */
     void stepCores();
 
     /**
      * If every core is asleep (or dormant), jump now_ to just before the
-     * earliest wake, clamped to @p bound (now_ never exceeds @p bound).
-     * No-op while any core is awake.
+     * earliest wake, clamped to @p bound and to the next time-series
+     * sample (now_ never exceeds @p bound). No-op while any core is
+     * awake — so always under strict stepping, where no core sleeps.
      */
     void jumpIdleSpan(Cycle bound);
 

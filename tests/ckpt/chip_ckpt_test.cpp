@@ -20,82 +20,11 @@
 #include "common/fault.h"
 #include "sim/chip_sim.h"
 #include "trace/spec_profiles.h"
+#include "tests/common/expect_identical.h"
 #include "tests/common/temp_path.h"
 
 namespace smtflex {
 namespace {
-
-void
-expectIdenticalCache(const CacheStats &a, const CacheStats &b,
-                     const std::string &what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.evictions, b.evictions) << what;
-    EXPECT_EQ(a.writebacks, b.writebacks) << what;
-}
-
-/** Every field exactly equal — including double-typed ones, where any
- * restore drift would show up as a ULP difference. */
-void
-expectIdentical(const SimResult &cold, const SimResult &resumed)
-{
-    EXPECT_EQ(cold.cycles, resumed.cycles);
-    EXPECT_EQ(cold.hitCycleLimit, resumed.hitCycleLimit);
-
-    ASSERT_EQ(cold.cores.size(), resumed.cores.size());
-    for (std::size_t i = 0; i < cold.cores.size(); ++i) {
-        const std::string what = "core " + std::to_string(i);
-        const CoreStats &a = cold.cores[i].stats;
-        const CoreStats &b = resumed.cores[i].stats;
-        EXPECT_EQ(a.coreCycles, b.coreCycles) << what;
-        EXPECT_EQ(a.busyCycles, b.busyCycles) << what;
-        for (std::size_t k = 0; k < kNumOpClasses; ++k)
-            EXPECT_EQ(a.dispatched[k], b.dispatched[k])
-                << what << " op class " << k;
-        EXPECT_EQ(a.retired, b.retired) << what;
-        EXPECT_EQ(a.mispredicts, b.mispredicts) << what;
-        EXPECT_EQ(a.robStallEvents, b.robStallEvents) << what;
-        EXPECT_EQ(a.mshrStallEvents, b.mshrStallEvents) << what;
-        EXPECT_EQ(cold.cores[i].poweredCycles, resumed.cores[i].poweredCycles)
-            << what;
-        expectIdenticalCache(cold.cores[i].l1i, resumed.cores[i].l1i,
-                             what + " l1i");
-        expectIdenticalCache(cold.cores[i].l1d, resumed.cores[i].l1d,
-                             what + " l1d");
-        expectIdenticalCache(cold.cores[i].l2, resumed.cores[i].l2,
-                             what + " l2");
-    }
-
-    expectIdenticalCache(cold.llc, resumed.llc, "llc");
-    EXPECT_EQ(cold.dram.reads, resumed.dram.reads);
-    EXPECT_EQ(cold.dram.writes, resumed.dram.writes);
-    EXPECT_EQ(cold.dram.totalLatencyCycles, resumed.dram.totalLatencyCycles);
-    EXPECT_EQ(cold.dram.busBusyCycles, resumed.dram.busBusyCycles);
-    EXPECT_EQ(cold.xbar.requests, resumed.xbar.requests);
-    EXPECT_EQ(cold.xbar.totalQueueCycles, resumed.xbar.totalQueueCycles);
-
-    ASSERT_EQ(cold.activeThreadFractions.size(),
-              resumed.activeThreadFractions.size());
-    for (std::size_t k = 0; k < cold.activeThreadFractions.size(); ++k)
-        EXPECT_EQ(cold.activeThreadFractions[k],
-                  resumed.activeThreadFractions[k])
-            << "histogram bucket " << k;
-
-    ASSERT_EQ(cold.threads.size(), resumed.threads.size());
-    for (std::size_t i = 0; i < cold.threads.size(); ++i) {
-        const std::string what = "thread " + std::to_string(i);
-        EXPECT_EQ(cold.threads[i].benchmark, resumed.threads[i].benchmark)
-            << what;
-        EXPECT_EQ(cold.threads[i].budget, resumed.threads[i].budget) << what;
-        EXPECT_EQ(cold.threads[i].finished, resumed.threads[i].finished)
-            << what;
-        EXPECT_EQ(cold.threads[i].startCycle, resumed.threads[i].startCycle)
-            << what;
-        EXPECT_EQ(cold.threads[i].finishCycle, resumed.threads[i].finishCycle)
-            << what;
-    }
-}
 
 class ChipCkptTest : public ::testing::Test
 {
@@ -305,8 +234,8 @@ TEST_F(ChipCkptTest, StrictAndFastForwardResumesAgree)
 TEST_F(ChipCkptTest, TimeSharingResumeRestoresRotationState)
 {
     // Three threads share one context slot: the snapshot carries the
-    // resident indices and the rotation clock, both of which must land
-    // exactly for the remaining rotations to fire at the strict cycles.
+    // resident indices, which must land exactly for the remaining
+    // rotations to fire at the strict cycles.
     const ChipConfig cfg =
         ChipConfig::homogeneous("1B", CoreParams::big(), 1);
     Placement pl;
@@ -325,6 +254,89 @@ TEST_F(ChipCkptTest, TimeSharingResumeRestoresRotationState)
     const SimResult resumed = runOnce(cfg, benches, pl, limits);
     EXPECT_EQ(ckpt::processStats().hits.load(), hits0 + 1);
     expectIdentical(reference, resumed);
+}
+
+TEST_F(ChipCkptTest, ResumeFromEveryRotationBoundaryIsBitIdentical)
+{
+    // Three threads time-share one slot, so the 512-cycle quanta rotate
+    // them, and every snapshot on the 1,024-cycle grid lands on a
+    // rotation cycle; time-series samples every 700 cycles add a third
+    // grid a fast-forward jump may stop at. Each boundary action must
+    // run exactly once at its cycle, however the loop reached it: one
+    // snapshot per grid cycle before the first finish, and a run
+    // resumed from any one of them must match the uninterrupted run —
+    // its result, its metrics and its sampled series.
+    const ChipConfig cfg =
+        ChipConfig::homogeneous("1B", CoreParams::big(), 1);
+    Placement pl;
+    pl.entries = {{0, 0}, {0, 0}, {0, 0}};
+    RunLimits limits;
+    limits.quantum = 512;
+    constexpr Cycle kSnapshotEvery = 1'024;
+    std::vector<ThreadSpec> specs;
+    for (const char *bench : {"mcf", "milc", "hmmer"})
+        specs.push_back({&specProfile(bench), 2'000, 500});
+
+    struct Run
+    {
+        SimResult result;
+        std::vector<std::vector<telemetry::Series::Point>> series;
+    };
+    const auto run = [&](bool fast_forward) {
+        ChipSim chip(cfg);
+        chip.setFastForward(fast_forward);
+        chip.enableSampling(700);
+        Run r;
+        r.result = chip.runMultiProgram(specs, pl, 42, limits);
+        for (const char *path : {"chip.ipc", "chip.active_threads"})
+            r.series.push_back(chip.metrics().findSeries(path)->points());
+        return r;
+    };
+    const auto expect_same = [](const Run &reference, const Run &actual) {
+        expectIdentical(reference.result, actual.result);
+        EXPECT_TRUE(reference.result.metrics == actual.result.metrics);
+        for (std::size_t s = 0; s < reference.series.size(); ++s) {
+            const auto &a = reference.series[s];
+            const auto &b = actual.series[s];
+            ASSERT_EQ(a.size(), b.size()) << "series " << s;
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                EXPECT_EQ(a[i].x, b[i].x) << "series " << s << " point " << i;
+                EXPECT_EQ(a[i].value, b[i].value)
+                    << "series " << s << " point " << i;
+            }
+        }
+    };
+
+    const Run reference = run(true);
+    Cycle first_finish = kCycleNever;
+    for (const ThreadResult &t : reference.result.threads)
+        first_finish = std::min(first_finish, t.finishCycle);
+    ASSERT_GT(first_finish, 2 * kSnapshotEvery);
+
+    const std::string one = dir_ + "_one";
+    for (const bool fast_forward : {true, false}) {
+        SCOPED_TRACE(fast_forward ? "fast-forward" : "strict");
+        std::filesystem::remove_all(dir_);
+        ckpt::configureProcess(dir_, kSnapshotEvery);
+        const auto saves0 = ckpt::processStats().saves.load();
+        expect_same(reference, run(fast_forward));
+        const auto files = snapshotFiles();
+        EXPECT_EQ(files.size(), (first_finish - 1) / kSnapshotEvery);
+        EXPECT_EQ(ckpt::processStats().saves.load() - saves0, files.size());
+
+        for (const auto &file : files) {
+            SCOPED_TRACE("resume from " + file.filename().string());
+            std::filesystem::remove_all(one);
+            std::filesystem::create_directories(one);
+            std::filesystem::copy_file(file,
+                                       one + "/" + file.filename().string());
+            ckpt::configureProcess(one, kSnapshotEvery);
+            const auto hits0 = ckpt::processStats().hits.load();
+            const Run resumed = run(fast_forward);
+            EXPECT_EQ(ckpt::processStats().hits.load(), hits0 + 1);
+            expect_same(reference, resumed);
+        }
+    }
 }
 
 TEST_F(ChipCkptTest, InjectedTornWritesNeverChangeResults)

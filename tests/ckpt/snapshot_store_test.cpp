@@ -16,6 +16,7 @@
 
 #include "ckpt/snapshot.h"
 #include "ckpt/store.h"
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "tests/common/temp_path.h"
 
@@ -103,6 +104,17 @@ TEST_F(SnapshotStoreTest, UnknownKindRejects)
     const std::vector<std::uint8_t> bytes = encodeSnapshot(snap);
     EXPECT_THROW(decodeSnapshot(bytes.data(), bytes.size()),
                  CorruptSnapshot);
+
+    // Version 1 chip-run payloads carried the rotation clock: an intact
+    // version-1 envelope must be rejected (and so skipped by the store),
+    // never handed to a structural restore.
+    std::vector<std::uint8_t> v1 = encodeSnapshot(sampleSnapshot());
+    v1[4] = 1; // the version word follows the magic, little-endian
+    v1[5] = v1[6] = v1[7] = 0;
+    const std::uint32_t crc = crc32(v1.data(), v1.size() - 4);
+    for (std::size_t i = 0; i < 4; ++i)
+        v1[v1.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    EXPECT_THROW(decodeSnapshot(v1.data(), v1.size()), CorruptSnapshot);
 }
 
 TEST_F(SnapshotStoreTest, FileRoundTripAndMissingFile)

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -161,20 +164,26 @@ TEST(ClassifierDeterminismTest, StrictVsFastForwardBitIdentical)
     // Fast-forward jumps clamp to sample-quantum boundaries, so the
     // sampled counters — and therefore every classification and
     // placement derived from them — are bit-identical either way.
+    // Each side's sample chips read SMTFLEX_NO_FASTFWD when they are
+    // built, so the flag is set around each profiler's run and restored
+    // afterwards.
     const auto specs = specsFor({"mcf", "hmmer", "lbm", "h264ref"});
     const ChipConfig config = paperDesign("3B5s");
-
-    ProfilerOptions fast = tinyProfiler();
-    fast.fastForward = true;
-    ProfilerOptions strict = tinyProfiler();
-    strict.fastForward = false;
-
-    OnlineProfiler fast_profiler(fast);
-    OnlineProfiler strict_profiler(strict);
-    const auto fast_bits =
-        fingerprint(fast_profiler.profileWorkload(config, specs));
-    const auto strict_bits =
-        fingerprint(strict_profiler.profileWorkload(config, specs));
+    const auto profile_with = [&](const char *no_fastfwd) {
+        const char *ambient = std::getenv("SMTFLEX_NO_FASTFWD");
+        const std::optional<std::string> saved =
+            ambient ? std::optional<std::string>(ambient) : std::nullopt;
+        ::setenv("SMTFLEX_NO_FASTFWD", no_fastfwd, 1);
+        OnlineProfiler profiler(tinyProfiler());
+        const auto bits = fingerprint(profiler.profileWorkload(config, specs));
+        if (saved)
+            ::setenv("SMTFLEX_NO_FASTFWD", saved->c_str(), 1);
+        else
+            ::unsetenv("SMTFLEX_NO_FASTFWD");
+        return bits;
+    };
+    const auto fast_bits = profile_with("0");
+    const auto strict_bits = profile_with("1");
 
     ASSERT_EQ(fast_bits.size(), strict_bits.size());
     for (std::size_t i = 0; i < fast_bits.size(); ++i)

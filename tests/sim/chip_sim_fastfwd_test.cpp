@@ -21,81 +21,10 @@
 #include "study/result_cache.h"
 #include "study/study_engine.h"
 #include "trace/spec_profiles.h"
+#include "tests/common/expect_identical.h"
 
 namespace smtflex {
 namespace {
-
-void
-expectIdenticalCache(const CacheStats &a, const CacheStats &b,
-                     const std::string &what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.evictions, b.evictions) << what;
-    EXPECT_EQ(a.writebacks, b.writebacks) << what;
-}
-
-/** Every field exactly equal — including double-typed ones, where any
- * accumulation-order difference would show up as a ULP drift. */
-void
-expectIdentical(const SimResult &strict, const SimResult &fast)
-{
-    EXPECT_EQ(strict.cycles, fast.cycles);
-    EXPECT_EQ(strict.hitCycleLimit, fast.hitCycleLimit);
-
-    ASSERT_EQ(strict.cores.size(), fast.cores.size());
-    for (std::size_t i = 0; i < strict.cores.size(); ++i) {
-        const std::string what = "core " + std::to_string(i);
-        const CoreStats &a = strict.cores[i].stats;
-        const CoreStats &b = fast.cores[i].stats;
-        EXPECT_EQ(a.coreCycles, b.coreCycles) << what;
-        EXPECT_EQ(a.busyCycles, b.busyCycles) << what;
-        for (std::size_t k = 0; k < kNumOpClasses; ++k)
-            EXPECT_EQ(a.dispatched[k], b.dispatched[k])
-                << what << " op class " << k;
-        EXPECT_EQ(a.retired, b.retired) << what;
-        EXPECT_EQ(a.mispredicts, b.mispredicts) << what;
-        EXPECT_EQ(a.robStallEvents, b.robStallEvents) << what;
-        EXPECT_EQ(a.mshrStallEvents, b.mshrStallEvents) << what;
-        EXPECT_EQ(strict.cores[i].poweredCycles, fast.cores[i].poweredCycles)
-            << what;
-        expectIdenticalCache(strict.cores[i].l1i, fast.cores[i].l1i,
-                             what + " l1i");
-        expectIdenticalCache(strict.cores[i].l1d, fast.cores[i].l1d,
-                             what + " l1d");
-        expectIdenticalCache(strict.cores[i].l2, fast.cores[i].l2,
-                             what + " l2");
-    }
-
-    expectIdenticalCache(strict.llc, fast.llc, "llc");
-    EXPECT_EQ(strict.dram.reads, fast.dram.reads);
-    EXPECT_EQ(strict.dram.writes, fast.dram.writes);
-    EXPECT_EQ(strict.dram.totalLatencyCycles, fast.dram.totalLatencyCycles);
-    EXPECT_EQ(strict.dram.busBusyCycles, fast.dram.busBusyCycles);
-    EXPECT_EQ(strict.xbar.requests, fast.xbar.requests);
-    EXPECT_EQ(strict.xbar.totalQueueCycles, fast.xbar.totalQueueCycles);
-
-    ASSERT_EQ(strict.activeThreadFractions.size(),
-              fast.activeThreadFractions.size());
-    for (std::size_t k = 0; k < strict.activeThreadFractions.size(); ++k)
-        EXPECT_EQ(strict.activeThreadFractions[k],
-                  fast.activeThreadFractions[k])
-            << "histogram bucket " << k;
-
-    ASSERT_EQ(strict.threads.size(), fast.threads.size());
-    for (std::size_t i = 0; i < strict.threads.size(); ++i) {
-        const std::string what = "thread " + std::to_string(i);
-        EXPECT_EQ(strict.threads[i].benchmark, fast.threads[i].benchmark)
-            << what;
-        EXPECT_EQ(strict.threads[i].budget, fast.threads[i].budget) << what;
-        EXPECT_EQ(strict.threads[i].finished, fast.threads[i].finished)
-            << what;
-        EXPECT_EQ(strict.threads[i].startCycle, fast.threads[i].startCycle)
-            << what;
-        EXPECT_EQ(strict.threads[i].finishCycle, fast.threads[i].finishCycle)
-            << what;
-    }
-}
 
 struct DiffRun
 {
