@@ -156,34 +156,4 @@ SetAssocCache::invalidateAll()
         line = Line();
 }
 
-void
-SetAssocCache::saveState(ckpt::Writer &w) const
-{
-    w.u64(lruClock_);
-    ckpt::saveCounters(w, stats_);
-    w.u32(static_cast<std::uint32_t>(lines_.size()));
-    for (const Line &line : lines_) {
-        w.u64(line.tag);
-        w.u64(line.lruStamp);
-        w.boolean(line.valid);
-        w.boolean(line.dirty);
-        w.boolean(line.prefetched);
-    }
-}
-
-void
-SetAssocCache::loadState(ckpt::Reader &r)
-{
-    lruClock_ = r.u64();
-    ckpt::loadCounters(r, stats_);
-    r.count(lines_.size(), "cache lines");
-    for (Line &line : lines_) {
-        line.tag = r.u64();
-        line.lruStamp = r.u64();
-        line.valid = r.boolean();
-        line.dirty = r.boolean();
-        line.prefetched = r.boolean();
-    }
-}
-
 } // namespace smtflex

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/serial.h"
 #include "common/types.h"
 #include "telemetry/registry.h"
 
@@ -150,12 +149,6 @@ class SetAssocCache : public telemetry::StatsProvider<CacheStats>
     {
         telemetry::attachCounters(registry, prefix, stats_);
     }
-
-    /** Serialize the full mutable state (tag array, LRU clock, stats). */
-    void saveState(ckpt::Writer &w) const;
-    /** Restore state saved by an identically configured cache; throws
-     * ckpt::CorruptSnapshot on any geometry mismatch. */
-    void loadState(ckpt::Reader &r);
 
   private:
     struct Line

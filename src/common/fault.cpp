@@ -22,7 +22,7 @@ constexpr std::size_t kNumSites = static_cast<std::size_t>(Site::kCount);
 constexpr std::array<const char *, kNumSites> kSiteNames = {
     "io.write",       "io.fsync",        "io.load",
     "net.short_read", "net.short_write", "net.eagain",
-    "net.disconnect", "ckpt.write",      "ckpt.load",
+    "net.disconnect",
 };
 
 struct SiteState

@@ -6,7 +6,7 @@
  * case; this module makes the failure paths *provable* by letting tests
  * (and operators) make I/O and sockets fail on demand. Seams are threaded
  * through the layers that talk to the outside world: ResultCache file
- * I/O, the serve socket loops and checkpoint snapshot files. Each seam
+ * I/O and the serve socket loops. Each seam
  * asks shouldFire(Site) before the real operation and, when told to,
  * fails the way the real world would (a torn write, a 1-byte read, an
  * unreadable file).
@@ -20,7 +20,7 @@
  *              | 'after' '=' u64     ops passed through before arming
  *              | 'limit' '=' u64     max fires, 0 = unlimited
  *              | 'param' '=' u64     site-specific magnitude (short-op
- *                                    byte clamp, torn-write offset)
+ *                                    byte clamp)
  *
  *   SMTFLEX_FAULT="io.write:p=0.01;seed=42,net.short_read:p=0.05"
  *
@@ -53,8 +53,6 @@ enum class Site : unsigned {
     kNetShortWrite,///< socket write clamped to `param` bytes (default 1)
     kNetEagain,    ///< socket op behaves as EAGAIN (retried later)
     kNetDisconnect,///< connection torn down mid-frame
-    kCkptWrite,    ///< snapshot write torn at `param` bytes
-    kCkptLoad,     ///< snapshot read behaves as corrupt
     kCount
 };
 

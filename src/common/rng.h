@@ -12,7 +12,6 @@
 #ifndef SMTFLEX_COMMON_RNG_H
 #define SMTFLEX_COMMON_RNG_H
 
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -103,18 +102,6 @@ class Rng
 
     /** Lognormal with E[X] = mean and coefficient-of-variation @p cv. */
     double nextLognormal(double mean, double cv);
-
-    /** The raw xoshiro256** state, for checkpoint/restore: a generator
-     * with setState(other.state()) continues other's exact sequence. */
-    std::array<std::uint64_t, 4> state() const
-    {
-        return {s_[0], s_[1], s_[2], s_[3]};
-    }
-    void setState(const std::array<std::uint64_t, 4> &s)
-    {
-        for (int i = 0; i < 4; ++i)
-            s_[i] = s[i];
-    }
 
   private:
     std::uint64_t s_[4];

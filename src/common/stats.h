@@ -89,21 +89,6 @@ class Histogram
 
     std::size_t numBuckets() const { return buckets_.size(); }
 
-    /** Raw bucket weights, for checkpoint/restore. */
-    const std::vector<double> &rawBuckets() const { return buckets_; }
-
-    /** Restore from rawBuckets()/total() of an identically sized
-     * histogram (bit-exact: the doubles travel as raw values). The
-     * bucket count must match this histogram's — callers validate it
-     * against the snapshot before restoring. */
-    void restore(const std::vector<double> &buckets, double total)
-    {
-        const std::size_t n = buckets_.size();
-        buckets_ = buckets;
-        buckets_.resize(n, 0.0);
-        total_ = total;
-    }
-
   private:
     std::vector<double> buckets_;
     double total_ = 0.0;

@@ -74,24 +74,4 @@ DramModel::busUtilisation(Cycle elapsed) const
                              static_cast<double>(elapsed));
 }
 
-void
-DramModel::saveState(ckpt::Writer &w) const
-{
-    w.u64(busFree_);
-    ckpt::saveCounters(w, stats_);
-    w.u32(static_cast<std::uint32_t>(bankFree_.size()));
-    for (const Cycle c : bankFree_)
-        w.u64(c);
-}
-
-void
-DramModel::loadState(ckpt::Reader &r)
-{
-    busFree_ = r.u64();
-    ckpt::loadCounters(r, stats_);
-    r.count(bankFree_.size(), "dram banks");
-    for (Cycle &c : bankFree_)
-        c = r.u64();
-}
-
 } // namespace smtflex

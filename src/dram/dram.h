@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/serial.h"
 #include "common/types.h"
 #include "telemetry/registry.h"
 
@@ -90,9 +89,6 @@ class DramModel : public telemetry::StatsProvider<DramStats>
     /** Observed bus utilisation over @p elapsed cycles (0..1). */
     double busUtilisation(Cycle elapsed) const;
 
-    /** Serialize/restore the mutable state (bank/bus timestamps, stats). */
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
 
   private:
     Cycle schedule(Cycle now, Addr addr);

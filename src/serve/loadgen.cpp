@@ -40,7 +40,7 @@ expandMix(const std::string &mix)
         const std::string op = token.substr(0, eq);
         if (op != "ping" && op != "stats" && op != "metrics" &&
             op != "run" && op != "sweep" && op != "isolated" &&
-            op != "schedule" && op != "warmrun")
+            op != "schedule")
             fatal("loadgen: unknown op '", op, "' in mix");
         const std::uint64_t weight =
             parseU64(token.substr(eq + 1), "mix weight for '" + op + "'");
@@ -127,13 +127,6 @@ performChaos(Client &client, ChaosMode mode, Rng &rng)
     }
 }
 
-/** Size of the warm-prefix family appended at the end of the request
- * pool: `run` requests sharing one (design, workload, warmup, seed)
- * prefix with budgets base*1..base*kWarmFamilySize. They share a
- * snapshot resume key, so a ckpt-enabled server warm-starts the later
- * ones from the earlier ones' snapshots. */
-constexpr std::size_t kWarmFamilySize = 4;
-
 /** The endpoint connection @p index dials: round-robin over targets
  * when set, the single host/port otherwise. */
 std::pair<std::string, std::uint16_t>
@@ -207,23 +200,6 @@ loadgenRequestPool(const LoadGenOptions &options)
                      Json::string(policies[rng.nextRange(policies.size())]));
         pool.push_back(std::move(schedule));
     }
-
-    // The warm-prefix family (always the pool's last kWarmFamilySize
-    // entries; the `warmrun` mix op draws from exactly these). Fixed
-    // design/workload/seed — only the budget grows.
-    for (std::size_t step = 1; step <= kWarmFamilySize; ++step) {
-        Json warm = Json::object();
-        warm.set("op", Json::string("run"));
-        warm.set("design", Json::string("4B"));
-        Json workload = Json::array();
-        workload.push(Json::string("mcf"));
-        workload.push(Json::string("milc"));
-        warm.set("workload", std::move(workload));
-        warm.set("budget", Json::number(options.budget * step));
-        warm.set("warmup", Json::number(options.warmup));
-        warm.set("seed", Json::number(std::uint64_t{42}));
-        pool.push_back(std::move(warm));
-    }
     return pool;
 }
 
@@ -250,9 +226,6 @@ LoadGenReport::summary() const
     os << "server     cache_hits " << serverCacheHits << ", coalesced "
        << serverCoalesced << ", executed " << serverExecuted
        << ", hit_rate " << cacheHitRate << "\n";
-    if (serverCkptHits + serverCkptMisses > 0)
-        os << "ckpt       warm_hits " << serverCkptHits << ", misses "
-           << serverCkptMisses << ", hit_rate " << ckptHitRate << "\n";
     return os.str();
 }
 
@@ -262,16 +235,9 @@ runLoadGen(const LoadGenOptions &options)
     const std::vector<Json> pool = loadgenRequestPool(options);
     const std::vector<std::string> mix = expandMix(options.mix);
 
-    // Group pool entries by op for the weighted pick. The warm-prefix
-    // family (the pool's tail, see loadgenRequestPool) forms its own
-    // group so `warmrun` weight steers prefix-sharing load exclusively.
-    std::vector<std::size_t> runs, sweeps, isolateds, schedules, warmruns;
-    const std::size_t warm_begin = pool.size() - kWarmFamilySize;
+    // Group pool entries by op for the weighted pick.
+    std::vector<std::size_t> runs, sweeps, isolateds, schedules;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (i >= warm_begin) {
-            warmruns.push_back(i);
-            continue;
-        }
         const std::string &op = pool[i].at("op").asString();
         (op == "run"        ? runs
              : op == "sweep"    ? sweeps
@@ -318,26 +284,13 @@ runLoadGen(const LoadGenOptions &options)
                     if (!reply.at("ok").asBool())
                         continue;
                     const Json &stats = reply.at("stats");
-                    // Snapshot warm-start rate, when the server exposes
-                    // the ckpt.* counters.
-                    std::string ckpt;
-                    if (stats.has("ckpt.hits")) {
-                        const std::uint64_t hits =
-                            stats.at("ckpt.hits").asU64();
-                        const std::uint64_t misses =
-                            stats.at("ckpt.misses").asU64();
-                        std::ostringstream os;
-                        os << ", ckpt_hits " << hits << "/"
-                           << (hits + misses);
-                        ckpt = os.str();
-                    }
                     inform("loadgen: server requests ",
                            stats.at("requests").asU64(), ", executed ",
                            stats.at("executed").asU64(), ", cache_hits ",
                            stats.at("cache_hits").asU64(), ", coalesced ",
                            stats.at("coalesced").asU64(), ", overloaded ",
                            stats.at("overloaded").asU64(), ", queue_depth ",
-                           stats.at("queue_depth").asU64(), ckpt);
+                           stats.at("queue_depth").asU64());
                 } catch (const FatalError &) {
                     return;
                 }
@@ -379,7 +332,6 @@ runLoadGen(const LoadGenOptions &options)
                         doc.set("op", Json::string(op));
                     } else {
                         const auto &indices = op == "run" ? runs
-                            : op == "warmrun"             ? warmruns
                             : op == "sweep"               ? sweeps
                             : op == "schedule"            ? schedules
                                                           : isolateds;
@@ -388,8 +340,7 @@ runLoadGen(const LoadGenOptions &options)
                     doc.set("id",
                             Json::number(std::uint64_t{c} * 1'000'000 + i));
                     if (options.deadlineMs &&
-                        (op == "run" || op == "warmrun" ||
-                         op == "sweep" ||
+                        (op == "run" || op == "sweep" ||
                          op == "isolated" || op == "schedule"))
                         doc.set("deadline_ms",
                                 Json::number(options.deadlineMs));
@@ -492,15 +443,6 @@ runLoadGen(const LoadGenOptions &options)
             report.cacheHitRate = answered > 0.0
                 ? report.serverCacheHits / answered
                 : 0.0;
-            if (stats.has("ckpt.hits")) {
-                report.serverCkptHits = stats.at("ckpt.hits").asU64();
-                report.serverCkptMisses = stats.at("ckpt.misses").asU64();
-                const double looked = static_cast<double>(
-                    report.serverCkptHits + report.serverCkptMisses);
-                report.ckptHitRate = looked > 0.0
-                    ? report.serverCkptHits / looked
-                    : 0.0;
-            }
         }
     } catch (const FatalError &) {
         // Server may already be shutting down; leave the counters zero.

@@ -42,12 +42,7 @@ struct LoadGenOptions
     /**
      * Request mix as `op=weight` pairs, e.g. "ping=2,run=4,sweep=1,
      * isolated=1,schedule=1". Weights are relative integers; ops with
-     * weight 0 are never sent. The pseudo-op `warmrun` draws from a
-     * family of run requests sharing one (design, workload, warmup,
-     * seed) prefix with growing budgets — on a server with SMTFLEX_CKPT
-     * set, later family members warm-start from snapshots the earlier
-     * ones saved (the ckpt.* counters in `--stats-interval` output and
-     * the final summary make the reuse visible).
+     * weight 0 are never sent.
      */
     std::string mix = "ping=2,run=4,sweep=1,isolated=1";
     /** deadline_ms attached to every simulation request (0 = none). */
@@ -115,12 +110,6 @@ struct LoadGenReport
     std::uint64_t serverCoalesced = 0;
     std::uint64_t serverExecuted = 0;
     double cacheHitRate = 0.0; ///< hits / (hits + coalesced + executed)
-
-    // Snapshot warm-start counters (zero when SMTFLEX_CKPT is off
-    // server-side or the server predates them).
-    std::uint64_t serverCkptHits = 0;
-    std::uint64_t serverCkptMisses = 0;
-    double ckptHitRate = 0.0; ///< ckpt hits / (hits + misses)
 
     /** Human-readable multi-line summary. */
     std::string summary() const;

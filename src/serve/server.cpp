@@ -13,7 +13,6 @@
 
 #include <algorithm>
 
-#include "ckpt/store.h"
 #include "common/fault.h"
 #include "common/log.h"
 #include "exec/parallel.h"
@@ -78,11 +77,6 @@ Server::registerMetrics()
     telemetry::attachCounters(registry_, "serve", stats_);
     // Online-scheduling decision counters (the schedule op's engine path).
     telemetry::attachCounters(registry_, "sched", engine_.schedStats());
-    // Warm-start checkpointing (smtflex::ckpt): the process-wide
-    // counters — saves, hits/misses, corrupt skips, resume cost. Always
-    // registered (all zero when SMTFLEX_CKPT is off) so dashboards and
-    // the stats op have a stable schema.
-    telemetry::attachCounters(registry_, "ckpt", ckpt::processStats());
     registry_.gauge("serve.queue_depth",
                     [this] { return std::uint64_t{queue_->size()}; });
     registry_.gauge("serve.queue_capacity",
@@ -555,13 +549,6 @@ Server::statsBody() const
         "serve", [&](const std::string &name, telemetry::MetricKind,
                      const telemetry::MetricValue &value) {
             stats.set(name, jsonFromMetric(value));
-        });
-    // Checkpoint counters ride along namespaced (serve keys stay bare,
-    // so the pre-ckpt body is a strict subset of this one).
-    registry_.forEachInSubtree(
-        "ckpt", [&](const std::string &name, telemetry::MetricKind,
-                    const telemetry::MetricValue &value) {
-            stats.set("ckpt." + name, jsonFromMetric(value));
         });
     body.set("stats", std::move(stats));
     return body;

@@ -7,7 +7,6 @@
 
 #include "common/env.h"
 #include "common/log.h"
-#include "sim/run_ckpt.h"
 
 namespace smtflex {
 
@@ -70,7 +69,6 @@ ChipSim::enableSampling(Cycle interval, std::size_t max_points)
     if (interval == 0)
         fatal("ChipSim: sampling interval must be > 0");
     samplingInterval_ = interval;
-    samplingMaxPoints_ = max_points;
     nextSample_ = now_ + interval;
     lastSampleCycle_ = now_;
     std::uint64_t retired = 0;
@@ -350,107 +348,6 @@ ChipSim::validatePlacement(const Placement &placement,
     }
 }
 
-void
-ChipSim::saveState(ckpt::Writer &w,
-                   const std::vector<std::unique_ptr<SimThread>> &threads)
-    const
-{
-    const auto thread_index = [&](const ThreadSource *t) {
-        for (std::uint32_t i = 0; i < threads.size(); ++i)
-            if (threads[i].get() == t)
-                return i;
-        fatal("ChipSim::saveState: thread not in the thread table");
-    };
-
-    w.u64(now_);
-    w.u32(attachedThreads_);
-    w.boolean(hitCycleLimit_);
-    w.u64(ffCycles_);
-    w.u64(ffSpans_);
-    w.u32(static_cast<std::uint32_t>(poweredCycles_.size()));
-    for (const Cycle c : poweredCycles_)
-        w.u64(c);
-    w.u32(static_cast<std::uint32_t>(activeHistogram_.numBuckets()));
-    for (const double b : activeHistogram_.rawBuckets())
-        w.f64(b);
-    w.f64(activeHistogram_.total());
-    w.u64(samplingInterval_);
-    if (samplingInterval_ != 0) {
-        w.u64(nextSample_);
-        w.u64(lastSampleCycle_);
-        w.u64(lastSampleRetired_);
-        for (const telemetry::Series *series : {ipcSeries_, activeSeries_}) {
-            const auto points = series->points();
-            w.u32(static_cast<std::uint32_t>(points.size()));
-            for (const auto &p : points) {
-                w.u64(p.x);
-                w.f64(p.value);
-            }
-        }
-    }
-    shared_.saveState(w);
-    for (const auto &core : cores_)
-        core->saveState(w, thread_index);
-}
-
-void
-ChipSim::loadState(ckpt::Reader &r,
-                   const std::vector<std::unique_ptr<SimThread>> &threads)
-{
-    const auto thread_at = [&](std::uint32_t idx) -> ThreadSource * {
-        if (idx >= threads.size())
-            throw ckpt::CorruptSnapshot("ckpt: thread index out of range");
-        return threads[idx].get();
-    };
-
-    now_ = r.u64();
-    attachedThreads_ = r.u32();
-    if (attachedThreads_ > threads.size())
-        throw ckpt::CorruptSnapshot("ckpt: attached threads out of range");
-    hitCycleLimit_ = r.boolean();
-    ffCycles_ = r.u64();
-    ffSpans_ = r.u64();
-    r.count(poweredCycles_.size(), "powered-cycle counters");
-    for (Cycle &c : poweredCycles_)
-        c = r.u64();
-    const std::uint32_t buckets =
-        r.count(activeHistogram_.numBuckets(), "histogram buckets");
-    std::vector<double> weights(buckets);
-    for (double &b : weights)
-        b = r.f64();
-    const double total = r.f64();
-    activeHistogram_.restore(weights, total);
-    if (r.u64() != samplingInterval_)
-        throw ckpt::CorruptSnapshot("ckpt: sampling interval mismatch");
-    if (samplingInterval_ != 0) {
-        nextSample_ = r.u64();
-        lastSampleCycle_ = r.u64();
-        lastSampleRetired_ = r.u64();
-        for (telemetry::Series *series : {ipcSeries_, activeSeries_}) {
-            const std::uint32_t n = r.u32();
-            series->clear();
-            for (std::uint32_t i = 0; i < n; ++i) {
-                const std::uint64_t x = r.u64();
-                const double value = r.f64();
-                series->append(x, value);
-            }
-        }
-    }
-    shared_.loadState(r);
-    for (const auto &core : cores_)
-        core->loadState(r, thread_at);
-
-    // The snapshot was taken in a strict-equivalent state: every core
-    // awake, no deferred accounting. Reset the fast-forward bookkeeping
-    // to exactly that.
-    std::fill(wake_.begin(), wake_.end(), 0);
-    std::fill(sleepStart_.begin(), sleepStart_.end(), 0);
-    awakeMask_.assign((cores_.size() + 63) / 64, 0);
-    for (std::uint32_t i = 0; i < cores_.size(); ++i)
-        awakeMask_[i / 64] |= std::uint64_t{1} << (i % 64);
-    wakeHeap_ = {};
-}
-
 SimResult
 ChipSim::runMultiProgram(const std::vector<ThreadSpec> &specs,
                          const Placement &placement, std::uint64_t seed,
@@ -501,39 +398,18 @@ ChipSim::runMultiProgram(const std::vector<ThreadSpec> &specs,
     for (const auto &share : shares)
         time_sharing |= share.threads.size() > 1;
 
-    // Checkpoint/restore (DESIGN.md §15). When the process binding is on,
-    // resume the newest eligible snapshot of this run instead of
-    // cold-starting; either way, the loop below snapshots on the
-    // checkpoint grid until the first thread finishes.
-    const RunCheckpoint checkpoint(config_, specs, placement, seed, limits,
-                                   samplingInterval_, samplingMaxPoints_,
-                                   threads);
-    const bool resumed = checkpoint.resume([&](ckpt::Reader &r) {
-        loadState(r, threads);
-        r.count(shares.size(), "slot shares");
-        for (auto &share : shares) {
-            share.resident = r.u32();
-            if (share.resident >= share.threads.size())
-                throw ckpt::CorruptSnapshot(
-                    "ckpt: resident thread out of range");
-        }
-    });
+    for (const auto &share : shares)
+        attach(share.core, share.slot, threads[share.threads[0]].get());
 
-    if (!resumed) {
-        for (const auto &share : shares)
-            attach(share.core, share.slot,
-                   threads[share.threads[0]].get());
-
-        // Functional warmup: every thread's resident working set is
-        // installed on its core and in the LLC before timing starts.
-        std::vector<WarmSpec> warm;
-        warm.reserve(specs.size());
-        for (std::uint32_t i = 0; i < specs.size(); ++i) {
-            warm.push_back({specs[i].profile, AddressSpace::forThread(i),
-                            placement.entries[i].core});
-        }
-        warmAllCaches(warm);
+    // Functional warmup: every thread's resident working set is installed
+    // on its core and in the LLC before timing starts.
+    std::vector<WarmSpec> warm;
+    warm.reserve(specs.size());
+    for (std::uint32_t i = 0; i < specs.size(); ++i) {
+        warm.push_back({specs[i].profile, AddressSpace::forThread(i),
+                        placement.entries[i].core});
     }
+    warmAllCaches(warm);
 
     // Main loop: run until every thread finished its budget once.
     //
@@ -547,23 +423,21 @@ ChipSim::runMultiProgram(const std::vector<ThreadSpec> &specs,
         thread->notifyFinishTo(&finished_eager);
     std::uint32_t finished = 0;
 
-    // The boundary schedule. Both grids start after now_: cycle 0, or a
-    // resumed snapshot's cycle, whose actions ran before it was saved.
-    const auto first_after = [this](Cycle grain) {
-        return grain != 0 ? (now_ / grain + 1) * grain : kCycleNever;
-    };
-    Cycle next_rotation = first_after(time_sharing ? limits.quantum : 0);
-    Cycle next_ckpt = first_after(checkpoint.interval());
+    // Thread rotations fall on the first multiple of the quantum after
+    // now_, and every quantum from there.
+    Cycle next_rotation = time_sharing
+        ? (now_ / limits.quantum + 1) * limits.quantum
+        : kCycleNever;
     while (finished < threads.size() && now_ < limits.maxCycles) {
         step();
         // When every core sleeps, jump straight to the earliest wake, but
-        // never past a cycle the strict loop acts at: thread rotations,
-        // snapshots and — while a finish is not yet observed — the
-        // completion sample (this very cycle without time sharing), so
-        // the loop exits at exactly the strict run's cycle. No retire can
-        // happen inside a sleep span, so the completion counter cannot
-        // advance across a jump.
-        Cycle bound = std::min({limits.maxCycles, next_rotation, next_ckpt});
+        // never past a cycle the strict loop acts at: thread rotations
+        // and — while a finish is not yet observed — the completion
+        // sample (this very cycle without time sharing), so the loop
+        // exits at exactly the strict run's cycle. No retire can happen
+        // inside a sleep span, so the completion counter cannot advance
+        // across a jump.
+        Cycle bound = std::min(limits.maxCycles, next_rotation);
         if (finished_eager != finished)
             bound = std::min(bound,
                              time_sharing ? (now_ + 255) / 256 * 256 : now_);
@@ -583,27 +457,6 @@ ChipSim::runMultiProgram(const std::vector<ThreadSpec> &specs,
         }
         if (!time_sharing || now_ % 256 == 0)
             finished = finished_eager;
-        // Snapshot only while no thread has finished its budget: the
-        // pre-finish state is budget-independent, so any later run
-        // sharing the key can resume it (warm-start). wakeAllCores()
-        // first settles all deferred fast-forward accounting into the
-        // strict-equivalent state that saveState requires; since the
-        // uninterrupted run passes through that exact all-awake state
-        // here too, a resumed run continues bit-identically (flushCore
-        // is result-neutral, so the extra wake churn never shows in
-        // results).
-        if (now_ == next_ckpt) {
-            if (finished_eager == 0) {
-                wakeAllCores();
-                checkpoint.save(now_, [&](ckpt::Writer &w) {
-                    saveState(w, threads);
-                    w.u32(static_cast<std::uint32_t>(shares.size()));
-                    for (const auto &share : shares)
-                        w.u32(share.resident);
-                });
-            }
-            next_ckpt += checkpoint.interval();
-        }
     }
     wakeAllCores();
     hitCycleLimit_ = now_ >= limits.maxCycles;

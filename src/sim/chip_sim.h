@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/serial.h"
 #include "common/stats.h"
 #include "sim/chip_config.h"
 #include "telemetry/registry.h"
@@ -241,27 +240,6 @@ class ChipSim
     /** Snapshot results of a low-level (externally driven) run. */
     SimResult collectResult() const;
 
-    /**
-     * Serialize the chip's complete mutable state — global clock, every
-     * core (SMT contexts, ROBs, private caches, MSHRs), the shared side
-     * (interconnect, LLC, DRAM), power/activity accounting and the
-     * sampling series — so that a chip restored from the stream is
-     * bit-identical to this one for all future simulation. Must be
-     * called in a strict-equivalent state (the run loops' boundaries,
-     * after wakeAllCores() settled deferred fast-forward accounting);
-     * the wake bookkeeping itself is then all-awake by construction and
-     * is not serialized. @p threads is the run's stable thread table:
-     * it maps the ThreadSource pointers inside cores to indices and back.
-     */
-    void saveState(ckpt::Writer &w,
-                   const std::vector<std::unique_ptr<SimThread>> &threads)
-        const;
-
-    /** Restore state saved by an identically configured chip; throws
-     * ckpt::CorruptSnapshot on structural mismatch. */
-    void loadState(ckpt::Reader &r,
-                   const std::vector<std::unique_ptr<SimThread>> &threads);
-
   private:
     void validatePlacement(const Placement &placement,
                            std::size_t num_threads) const;
@@ -305,8 +283,10 @@ class ChipSim
     void registerChipMetrics();
 
     /** Record due time-series samples (called with now_ at or past the
-     * next sample boundary; a no-op branch when sampling is off). */
-    void maybeSample();
+     * next sample boundary; a no-op branch when sampling is off). Kept
+     * out of line: sampling is off by default, and tick() is the
+     * per-cycle path. */
+    [[gnu::noinline]] void maybeSample();
 
     ChipConfig config_;
     SharedMemory shared_;
@@ -345,7 +325,6 @@ class ChipSim
     telemetry::MetricRegistry registry_;
     /** Interval sampling state (0 interval = off). */
     Cycle samplingInterval_ = 0;
-    std::size_t samplingMaxPoints_ = 0;
     Cycle nextSample_ = 0;
     Cycle lastSampleCycle_ = 0;
     std::uint64_t lastSampleRetired_ = 0;

@@ -53,28 +53,6 @@ class SharedMemory : public MemorySystem
         xbar_.registerMetrics(registry, "xbar");
     }
 
-    /** Serialize/restore the whole shared side (interconnect, LLC,
-     * DRAM) for checkpoint/restore. */
-    void saveState(ckpt::Writer &w) const
-    {
-        xbar_.saveState(w);
-        w.boolean(mesh_.has_value());
-        if (mesh_)
-            mesh_->saveState(w);
-        llc_.saveState(w);
-        dram_.saveState(w);
-    }
-    void loadState(ckpt::Reader &r)
-    {
-        xbar_.loadState(r);
-        if (r.boolean() != mesh_.has_value())
-            throw ckpt::CorruptSnapshot("ckpt: mesh presence mismatch");
-        if (mesh_)
-            mesh_->loadState(r);
-        llc_.loadState(r);
-        dram_.loadState(r);
-    }
-
   private:
     /** Interconnect traversal: returns bank-lookup start cycle and the
      * response-hop latency for this request. */

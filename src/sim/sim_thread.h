@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <string>
 
-#include "ckpt/serial.h"
 #include "common/types.h"
 #include "trace/tracegen.h"
 #include "uarch/thread_source.h"
@@ -65,30 +64,6 @@ class SimThread : public ThreadSource
     InstrCount budget() const { return budget_; }
     InstrCount warmup() const { return warmup_; }
     const std::string &benchmark() const { return gen_.profile().name; }
-
-    /**
-     * Serialize/restore the dynamic state (trace generator, retire
-     * progress, window timestamps). budget/warmup/restart and the
-     * finish-counter wiring belong to the *resuming* run and are not
-     * serialized — that is what lets a snapshot taken before any thread
-     * finished resume under a different budget (warm-start).
-     */
-    void saveState(ckpt::Writer &w) const
-    {
-        gen_.saveState(w);
-        w.u64(totalRetired_);
-        w.u64(startCycle_);
-        w.u64(finishCycle_);
-        w.boolean(doneForever_);
-    }
-    void loadState(ckpt::Reader &r)
-    {
-        gen_.loadState(r);
-        totalRetired_ = r.u64();
-        startCycle_ = r.u64();
-        finishCycle_ = r.u64();
-        doneForever_ = r.boolean();
-    }
 
   private:
     TraceGenerator gen_;

@@ -114,13 +114,6 @@ Series::size() const
     return points_.size();
 }
 
-void
-Series::clear()
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    points_.clear();
-}
-
 double
 Series::last() const
 {

@@ -127,7 +127,6 @@ class Series
     std::vector<Point> points() const;
     std::size_t size() const;
     bool empty() const { return size() == 0; }
-    void clear();
 
     /** Most recent value (0 when empty — exposition convenience). */
     double last() const;

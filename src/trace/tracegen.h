@@ -11,7 +11,6 @@
 #include <functional>
 #include <vector>
 
-#include "ckpt/serial.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "trace/profile.h"
@@ -82,35 +81,6 @@ class TraceGenerator
      * instruction budget, matching the paper's methodology.
      */
     void reset();
-
-    /**
-     * Serialize/restore the dynamic generation state (RNG, streaming
-     * cursors, fetch address, op count). A restored generator continues
-     * the exact op sequence of the saved one; the static profile/CDF
-     * state comes from construction and is not serialized.
-     */
-    void saveState(ckpt::Writer &w) const
-    {
-        for (const std::uint64_t s : rng_.state())
-            w.u64(s);
-        w.u32(static_cast<std::uint32_t>(streamCursor_.size()));
-        for (const std::uint64_t c : streamCursor_)
-            w.u64(c);
-        w.u64(fetchAddr_);
-        w.u64(generated_);
-    }
-    void loadState(ckpt::Reader &r)
-    {
-        std::array<std::uint64_t, 4> s{};
-        for (std::uint64_t &v : s)
-            v = r.u64();
-        rng_.setState(s);
-        r.count(streamCursor_.size(), "trace stream cursors");
-        for (std::uint64_t &c : streamCursor_)
-            c = r.u64();
-        fetchAddr_ = r.u64();
-        generated_ = r.u64();
-    }
 
     /**
      * Enumerate the line addresses of the thread's cache-resident working

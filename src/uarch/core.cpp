@@ -256,122 +256,6 @@ Core::dependencyReady(const Context &ctx, const MicroOp &op)
     return ctx.depCompletion[producer % Context::kDepWindow];
 }
 
-namespace {
-
-/** Null-thread sentinel in serialized context/ROB entries. */
-constexpr std::uint32_t kNoThread = 0xffffffffu;
-
-void
-saveMicroOp(ckpt::Writer &w, const MicroOp &op)
-{
-    w.u8(static_cast<std::uint8_t>(op.cls));
-    w.boolean(op.mispredict);
-    w.boolean(op.fetchLineCross);
-    w.u8(op.depDist);
-    w.u64(op.addr);
-    w.u64(op.fetchAddr);
-}
-
-void
-loadMicroOp(ckpt::Reader &r, MicroOp &op)
-{
-    const std::uint8_t cls = r.u8();
-    if (cls >= kNumOpClasses)
-        throw ckpt::CorruptSnapshot("ckpt: bad op class");
-    op.cls = static_cast<OpClass>(cls);
-    op.mispredict = r.boolean();
-    op.fetchLineCross = r.boolean();
-    op.depDist = r.u8();
-    op.addr = r.u64();
-    op.fetchAddr = r.u64();
-}
-
-} // namespace
-
-void
-Core::saveState(
-    ckpt::Writer &w,
-    const std::function<std::uint32_t(const ThreadSource *)> &thread_index)
-    const
-{
-    w.u64(globalNow_);
-    w.u64(coreNow_);
-    w.f64(clockAccum_);
-    w.u32(fetchRotor_);
-    w.u32(retireRotor_);
-    ckpt::saveCounters(w, stats_);
-    for (int c = 0; c < kNumOpClasses; ++c)
-        w.u64(stats_.dispatched[c]);
-    hierarchy_.saveState(w);
-    w.u32(static_cast<std::uint32_t>(contexts_.size()));
-    for (const Context &ctx : contexts_) {
-        w.u32(ctx.thread ? thread_index(ctx.thread) : kNoThread);
-        saveMicroOp(w, ctx.staged);
-        w.boolean(ctx.hasStaged);
-        w.boolean(ctx.stagedFetchDone);
-        w.u64(ctx.frontStallUntil);
-        w.u64(ctx.stallUntil);
-        for (const Cycle c : ctx.depCompletion)
-            w.u64(c);
-        w.u64(ctx.opIndex);
-        // The ROB ring is serialized head-first; the restored ring starts
-        // at index 0, which preserves the FIFO order — the only thing
-        // retirement depends on.
-        w.u32(static_cast<std::uint32_t>(ctx.rob.size()));
-        w.u32(ctx.robCount);
-        for (std::uint32_t k = 0; k < ctx.robCount; ++k) {
-            const InFlightOp &op =
-                ctx.rob[(ctx.robHead + k) % ctx.rob.size()];
-            w.u64(op.completion);
-            w.u32(op.thread ? thread_index(op.thread) : kNoThread);
-        }
-    }
-    saveDerived(w);
-}
-
-void
-Core::loadState(
-    ckpt::Reader &r,
-    const std::function<ThreadSource *(std::uint32_t)> &thread_at)
-{
-    globalNow_ = r.u64();
-    coreNow_ = r.u64();
-    clockAccum_ = r.f64();
-    fetchRotor_ = r.u32();
-    retireRotor_ = r.u32();
-    ckpt::loadCounters(r, stats_);
-    for (int c = 0; c < kNumOpClasses; ++c)
-        stats_.dispatched[c] = r.u64();
-    hierarchy_.loadState(r);
-    r.count(contexts_.size(), "SMT contexts");
-    for (Context &ctx : contexts_) {
-        const std::uint32_t tidx = r.u32();
-        ctx.thread = tidx == kNoThread ? nullptr : thread_at(tidx);
-        loadMicroOp(r, ctx.staged);
-        ctx.hasStaged = r.boolean();
-        ctx.stagedFetchDone = r.boolean();
-        ctx.frontStallUntil = r.u64();
-        ctx.stallUntil = r.u64();
-        for (Cycle &c : ctx.depCompletion)
-            c = r.u64();
-        ctx.opIndex = r.u64();
-        r.count(ctx.rob.size(), "ROB capacity");
-        const std::uint32_t rob_count = r.u32();
-        if (rob_count > ctx.rob.size())
-            throw ckpt::CorruptSnapshot("ckpt: ROB overflow");
-        ctx.robHead = 0;
-        ctx.robCount = rob_count;
-        for (std::uint32_t k = 0; k < rob_count; ++k) {
-            InFlightOp &op = ctx.rob[k];
-            op.completion = r.u64();
-            const std::uint32_t oidx = r.u32();
-            op.thread = oidx == kNoThread ? nullptr : thread_at(oidx);
-        }
-    }
-    countActiveContexts();
-    loadDerived(r);
-}
-
 std::unique_ptr<Core>
 makeCore(const CoreParams &params, std::uint32_t core_id,
          std::uint32_t num_contexts, MemorySystem *shared,

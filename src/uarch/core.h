@@ -9,11 +9,9 @@
 #define SMTFLEX_UARCH_CORE_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "ckpt/serial.h"
 #include "common/types.h"
 #include "telemetry/registry.h"
 #include "trace/uop.h"
@@ -169,27 +167,6 @@ class Core : public telemetry::StatsProvider<CoreStats>
     /** Core-cycles actually executed (for utilisation/power). */
     Cycle coreNow() const { return coreNow_; }
 
-    /**
-     * Serialize the core's complete mutable state (clock domain, rotors,
-     * statistics, private hierarchy, every SMT context including staged
-     * ops and retirement queues, plus model-specific extras via
-     * saveDerived()). ThreadSource pointers are mapped to stable indices
-     * by @p thread_index (null maps to a sentinel) — the caller owns the
-     * thread table. Must be called in a strict-equivalent state (after
-     * the chip's wakeAllCores()).
-     */
-    void saveState(
-        ckpt::Writer &w,
-        const std::function<std::uint32_t(const ThreadSource *)>
-            &thread_index) const;
-
-    /** Restore state saved by an identically configured core; throws
-     * ckpt::CorruptSnapshot on structural mismatch. @p thread_at maps
-     * the indices back to the resuming run's ThreadSources. */
-    void loadState(
-        ckpt::Reader &r,
-        const std::function<ThreadSource *(std::uint32_t)> &thread_at);
-
   protected:
     /** One retirement-queue entry. */
     struct InFlightOp
@@ -241,11 +218,6 @@ class Core : public telemetry::StatsProvider<CoreStats>
     {
         (void)core_cycles;
     }
-
-    /** Model-specific extra state appended to / consumed from the base
-     * stream by saveState()/loadState(). */
-    virtual void saveDerived(ckpt::Writer &w) const { (void)w; }
-    virtual void loadDerived(ckpt::Reader &r) { (void)r; }
 
     /** Earliest core cycle any context could retire its ROB head
      * (kCycleNever when nothing is in flight). */
@@ -300,7 +272,7 @@ class Core : public telemetry::StatsProvider<CoreStats>
     void countActiveContexts();
 
     /** Contexts with a thread attached, and the ROB partition it gives:
-     * kept by attach, detach and loadState. */
+     * kept by attach and detach. */
     std::uint32_t activeContexts_ = 0;
     std::uint32_t robPartition_ = 0;
 };

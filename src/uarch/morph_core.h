@@ -53,27 +53,6 @@ class MorphCore : public Core
     void coreCycle() override;
     void onSkippedCoreCycles(Cycle core_cycles) override;
 
-    void saveDerived(ckpt::Writer &w) const override
-    {
-        w.boolean(oooMode_);
-        w.u64(stallUntilSwitch_);
-        w.u64(modeSwitches_);
-        for (int c = 0; c < kNumOpClasses; ++c)
-            w.u32(fuLeft_[c]);
-        w.u64(skipRobStallContexts_);
-        w.u64(skipMshrStallContexts_);
-    }
-    void loadDerived(ckpt::Reader &r) override
-    {
-        oooMode_ = r.boolean();
-        stallUntilSwitch_ = r.u64();
-        modeSwitches_ = r.u64();
-        for (int c = 0; c < kNumOpClasses; ++c)
-            fuLeft_[c] = r.u32();
-        skipRobStallContexts_ = r.u64();
-        skipMshrStallContexts_ = r.u64();
-    }
-
   private:
     void oooCycle();
     void inOrderCycle();

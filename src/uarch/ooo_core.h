@@ -36,21 +36,6 @@ class OooCore : public Core
     void coreCycle() override;
     void onSkippedCoreCycles(Cycle core_cycles) override;
 
-    void saveDerived(ckpt::Writer &w) const override
-    {
-        for (int c = 0; c < kNumOpClasses; ++c)
-            w.u32(fuLeft_[c]);
-        w.u64(skipRobStallContexts_);
-        w.u64(skipMshrStallContexts_);
-    }
-    void loadDerived(ckpt::Reader &r) override
-    {
-        for (int c = 0; c < kNumOpClasses; ++c)
-            fuLeft_[c] = r.u32();
-        skipRobStallContexts_ = r.u64();
-        skipMshrStallContexts_ = r.u64();
-    }
-
   private:
     /** Why a context stopped dispatching this cycle. */
     enum class StopReason { kNone, kRobFull, kMshrFull, kFuBusy, kNoWork };

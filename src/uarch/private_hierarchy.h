@@ -16,7 +16,6 @@
 #include <optional>
 
 #include "cache/cache.h"
-#include "ckpt/serial.h"
 #include "common/types.h"
 #include "uarch/core_params.h"
 #include "uarch/memory_system.h"
@@ -116,27 +115,6 @@ class PrivateHierarchy
       private:
         SetAssocCache::ColdFill l1i_, l1d_, l2_;
     };
-
-    /** Serialize/restore the mutable state (all three caches and the
-     * MSHR occupancy ring). */
-    void saveState(ckpt::Writer &w) const
-    {
-        l1i_.saveState(w);
-        l1d_.saveState(w);
-        l2_.saveState(w);
-        w.u64(mshrIndex_);
-        for (const Cycle c : mshrCompletion_)
-            w.u64(c);
-    }
-    void loadState(ckpt::Reader &r)
-    {
-        l1i_.loadState(r);
-        l1d_.loadState(r);
-        l2_.loadState(r);
-        mshrIndex_ = r.u64();
-        for (Cycle &c : mshrCompletion_)
-            c = r.u64();
-    }
 
   private:
     std::optional<MemAccess> accessInternal(Cycle now, Addr addr,

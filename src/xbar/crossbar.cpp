@@ -27,22 +27,4 @@ Crossbar::request(Cycle now, Addr addr)
     return start;
 }
 
-void
-Crossbar::saveState(ckpt::Writer &w) const
-{
-    ckpt::saveCounters(w, stats_);
-    w.u32(static_cast<std::uint32_t>(bankFree_.size()));
-    for (const Cycle c : bankFree_)
-        w.u64(c);
-}
-
-void
-Crossbar::loadState(ckpt::Reader &r)
-{
-    ckpt::loadCounters(r, stats_);
-    r.count(bankFree_.size(), "crossbar banks");
-    for (Cycle &c : bankFree_)
-        c = r.u64();
-}
-
 } // namespace smtflex

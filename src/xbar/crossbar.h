@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/serial.h"
 #include "common/types.h"
 #include "telemetry/registry.h"
 
@@ -83,9 +82,6 @@ class Crossbar : public telemetry::StatsProvider<CrossbarStats>
         telemetry::attachCounters(registry, prefix, stats_);
     }
 
-    /** Serialize/restore the mutable state (bank timestamps, stats). */
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
 
   private:
     CrossbarConfig config_;

@@ -59,20 +59,4 @@ MeshNoc::responseLatency(Addr addr, std::uint32_t core) const
     return hops(addr, core) * config_.hopLatency;
 }
 
-void
-MeshNoc::saveState(ckpt::Writer &w) const
-{
-    w.u32(static_cast<std::uint32_t>(bankFree_.size()));
-    for (const Cycle c : bankFree_)
-        w.u64(c);
-}
-
-void
-MeshNoc::loadState(ckpt::Reader &r)
-{
-    r.count(bankFree_.size(), "mesh banks");
-    for (Cycle &c : bankFree_)
-        c = r.u64();
-}
-
 } // namespace smtflex

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/serial.h"
 #include "common/types.h"
 
 namespace smtflex {
@@ -53,9 +52,6 @@ class MeshNoc
     /** Grid side length. */
     std::uint32_t side() const { return side_; }
 
-    /** Serialize/restore the mutable state (bank timestamps). */
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
 
   private:
     std::uint32_t bankOf(Addr addr) const;

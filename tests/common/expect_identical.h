@@ -1,8 +1,7 @@
 /**
  * @file
- * Field-for-field SimResult equality, shared by the differential suites:
- * fast-forward against strict stepping, and a resumed run against the
- * uninterrupted one.
+ * Field-for-field SimResult equality, shared by the differential suites
+ * of fast-forward against strict stepping.
  */
 
 #ifndef SMTFLEX_TESTS_COMMON_EXPECT_IDENTICAL_H
@@ -28,8 +27,8 @@ expectIdenticalCache(const CacheStats &a, const CacheStats &b,
 }
 
 /** Every field of @p actual exactly equal to @p reference's — including
- * the double-typed ones, where any accumulation-order difference or
- * restore drift would show up as a ULP difference. */
+ * the double-typed ones, where any accumulation-order difference would
+ * show up as a ULP difference. */
 inline void
 expectIdentical(const SimResult &reference, const SimResult &actual)
 {

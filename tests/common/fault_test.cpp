@@ -41,8 +41,6 @@ TEST_F(FaultTest, SiteNames)
     EXPECT_STREQ(fault::siteName(Site::kNetShortWrite), "net.short_write");
     EXPECT_STREQ(fault::siteName(Site::kNetEagain), "net.eagain");
     EXPECT_STREQ(fault::siteName(Site::kNetDisconnect), "net.disconnect");
-    EXPECT_STREQ(fault::siteName(Site::kCkptWrite), "ckpt.write");
-    EXPECT_STREQ(fault::siteName(Site::kCkptLoad), "ckpt.load");
 }
 
 TEST_F(FaultTest, BareSiteAlwaysFires)
@@ -79,11 +77,11 @@ TEST_F(FaultTest, LimitCapsFires)
 
 TEST_F(FaultTest, ParamReturnsConfiguredOrFallback)
 {
-    EXPECT_EQ(fault::param(Site::kCkptWrite, 50), 50u);
-    fault::configure("ckpt.write:param=7");
-    EXPECT_EQ(fault::param(Site::kCkptWrite, 50), 7u);
-    fault::configure("ckpt.write:p=1");
-    EXPECT_EQ(fault::param(Site::kCkptWrite, 50), 50u); // param unset
+    EXPECT_EQ(fault::param(Site::kNetShortWrite, 50), 50u);
+    fault::configure("net.short_write:param=7");
+    EXPECT_EQ(fault::param(Site::kNetShortWrite, 50), 7u);
+    fault::configure("net.short_write:p=1");
+    EXPECT_EQ(fault::param(Site::kNetShortWrite, 50), 50u); // param unset
 }
 
 TEST_F(FaultTest, ProbabilityStreamIsDeterministic)
@@ -145,12 +143,15 @@ TEST_F(FaultTest, MalformedSpecsAreFatal)
     EXPECT_THROW(fault::configure(","), FatalError);
 }
 
-TEST_F(FaultTest, RemovedExperimentSitesAreUnknown)
+TEST_F(FaultTest, RemovedSitesAreUnknown)
 {
     // Experiments are deterministic, so nothing retries them and there
-    // is no experiment seam left to arm.
+    // is no experiment seam left to arm; runs take no mid-run snapshots,
+    // so there is no snapshot file to tear or corrupt either.
     EXPECT_THROW(fault::configure("exec.throw"), FatalError);
     EXPECT_THROW(fault::configure("exec.stall:param=7"), FatalError);
+    EXPECT_THROW(fault::configure("ckpt.write"), FatalError);
+    EXPECT_THROW(fault::configure("ckpt.load:p=0.5"), FatalError);
 }
 
 } // namespace

@@ -100,12 +100,12 @@ sweepRequest(const std::string &bench)
     return serve::parseRequest(doc);
 }
 
-class DistCkptResumeTest : public ::testing::Test
+class DistCacheResumeTest : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        path_ = testTempPath("smtflex_dist_ckpt_resume") + ".txt";
+        path_ = testTempPath("smtflex_dist_cache_resume") + ".txt";
         removeTestTempFiles(path_);
     }
 
@@ -115,7 +115,7 @@ class DistCkptResumeTest : public ::testing::Test
     std::string path_;
 };
 
-TEST_F(DistCkptResumeTest, RestartedCoordinatorReplaysAndRecomputesNothing)
+TEST_F(DistCacheResumeTest, RestartedCoordinatorReplaysAndRecomputesNothing)
 {
     // Phase 1: a live 2-backend fleet computes the sweep; every chunk's
     // records reach the coordinator's cache file before completion.
@@ -146,7 +146,7 @@ TEST_F(DistCkptResumeTest, RestartedCoordinatorReplaysAndRecomputesNothing)
     EXPECT_EQ(resumed.stats().rowsLocal.load(), 0u);
 }
 
-TEST_F(DistCkptResumeTest, PartialCacheResumesComputingOnlyTheRemainder)
+TEST_F(DistCacheResumeTest, PartialCacheResumesComputingOnlyTheRemainder)
 {
     // Phase 1 as above: produce a complete cache.
     const serve::Request request = sweepRequest("milc");

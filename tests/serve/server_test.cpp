@@ -157,18 +157,15 @@ TEST(ServerTest, MetricsOpExposesTheRegistry)
     EXPECT_TRUE(metrics.has("serve.queue_depth"));
     EXPECT_TRUE(metrics.has("serve.jobs"));
 
-    // The stats body is the serve.* subtree (bare keys) plus the ckpt.*
-    // subtree (namespaced keys, already full paths): same values as the
-    // registry's, and the counters can only have grown between the two
-    // inline reads.
+    // The stats body is the serve.* subtree with bare keys: same values
+    // as the registry's, and the counters can only have grown between
+    // the two inline reads.
     Json statsReq = Json::object();
     statsReq.set("op", Json::string("stats"));
     const Json stats = client.call(statsReq);
     ASSERT_TRUE(stats.at("ok").asBool());
     for (const auto &[key, value] : stats.at("stats").members()) {
-        const std::string path =
-            key.rfind("ckpt.", 0) == 0 ? key : "serve." + key;
-        ASSERT_TRUE(metrics.has(path)) << key;
+        ASSERT_TRUE(metrics.has("serve." + key)) << key;
         if (key == "requests" || key == "responses") {
             EXPECT_GE(value.asU64(), metrics.at("serve." + key).asU64())
                 << key;

@@ -6,7 +6,8 @@
  * at those very structs); Core's clearStats() must reset every counter
  * including the private hierarchy's; and interval sampling must populate
  * the chip.ipc / chip.active_threads series without perturbing the run —
- * sampled fast-forward results stay bit-identical to strict ones.
+ * sampled fast-forward results stay bit-identical to strict ones, also
+ * when time-shared threads rotate between samples.
  */
 
 #include <string>
@@ -16,19 +17,21 @@
 
 #include "sim/chip_sim.h"
 #include "trace/spec_profiles.h"
+#include "tests/common/expect_identical.h"
 
 namespace smtflex {
 namespace {
 
 SimResult
 runWorkload(ChipSim &chip, const std::vector<const char *> &benches,
-            const Placement &placement)
+            const Placement &placement, const RunLimits &limits = {},
+            InstrCount budget = 12'000, InstrCount warmup = 3'000)
 {
     std::vector<ThreadSpec> specs;
     specs.reserve(benches.size());
     for (const char *bench : benches)
-        specs.push_back({&specProfile(bench), 12'000, 3'000});
-    return chip.runMultiProgram(specs, placement, 42);
+        specs.push_back({&specProfile(bench), budget, warmup});
+    return chip.runMultiProgram(specs, placement, 42, limits);
 }
 
 TEST(ChipTelemetryTest, LiveSnapshotMatchesRebuiltSnapshot)
@@ -146,49 +149,84 @@ TEST(ChipTelemetryTest, SamplingRingCapsPoints)
 
 /** Sampling must not perturb simulation: a sampled fast-forward run stays
  * bit-identical to a sampled strict run (the jump clamp at sample
- * boundaries), and to an unsampled run of either kind. */
-TEST(ChipTelemetryTest, SamplingPreservesBitIdenticalResults)
+ * boundaries), and to an unsampled run of either kind. Compares the
+ * SimResult field for field, the metrics snapshots and the chip.ipc /
+ * chip.active_threads series. */
+void
+expectSamplingPreservesResults(const ChipConfig &config,
+                               const Placement &placement,
+                               const std::vector<const char *> &benches,
+                               const RunLimits &limits, InstrCount budget,
+                               InstrCount warmup, Cycle interval)
 {
-    const ChipConfig cfg =
-        ChipConfig::homogeneous("2B", CoreParams::big(), 2);
-    Placement pl;
-    pl.entries = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
-    const std::vector<const char *> benches = {"mcf", "milc", "hmmer",
-                                               "mcf"};
+    const auto run = [&](ChipSim &chip) {
+        return runWorkload(chip, benches, placement, limits, budget, warmup);
+    };
 
-    ChipSim plain(cfg);
+    ChipSim plain(config);
     plain.setFastForward(true);
-    const SimResult base = runWorkload(plain, benches, pl);
+    const SimResult base = run(plain);
 
-    ChipSim sampled_fast(cfg);
+    ChipSim sampled_fast(config);
     sampled_fast.setFastForward(true);
-    sampled_fast.enableSampling(2'000);
-    const SimResult fast = runWorkload(sampled_fast, benches, pl);
+    sampled_fast.enableSampling(interval);
+    const SimResult fast = run(sampled_fast);
 
-    ChipSim sampled_strict(cfg);
+    ChipSim sampled_strict(config);
     sampled_strict.setFastForward(false);
-    sampled_strict.enableSampling(2'000);
-    const SimResult strict = runWorkload(sampled_strict, benches, pl);
+    sampled_strict.enableSampling(interval);
+    const SimResult strict = run(sampled_strict);
 
     // mcf is latency-bound: fast-forward must still engage while sampling.
     EXPECT_GT(sampled_fast.fastForwardedCycles(), Cycle{0});
 
-    // Snapshots cover every counter; equality is the full differential.
+    // Field for field, then the snapshots, which cover every counter.
+    expectIdentical(base, fast);
+    expectIdentical(fast, strict);
     EXPECT_TRUE(base.metrics == fast.metrics);
     EXPECT_TRUE(fast.metrics == strict.metrics);
 
     // And the sampled series themselves agree between strict and fast.
-    const telemetry::Series *fast_ipc =
-        sampled_fast.metrics().findSeries("chip.ipc");
-    const telemetry::Series *strict_ipc =
-        sampled_strict.metrics().findSeries("chip.ipc");
-    ASSERT_NE(fast_ipc, nullptr);
-    ASSERT_NE(strict_ipc, nullptr);
-    ASSERT_EQ(fast_ipc->size(), strict_ipc->size());
-    for (std::size_t i = 0; i < fast_ipc->size(); ++i) {
-        EXPECT_EQ(fast_ipc->points()[i].x, strict_ipc->points()[i].x);
-        EXPECT_EQ(fast_ipc->points()[i].value, strict_ipc->points()[i].value);
+    for (const char *path : {"chip.ipc", "chip.active_threads"}) {
+        SCOPED_TRACE(path);
+        const telemetry::Series *fast_series =
+            sampled_fast.metrics().findSeries(path);
+        const telemetry::Series *strict_series =
+            sampled_strict.metrics().findSeries(path);
+        ASSERT_NE(fast_series, nullptr);
+        ASSERT_NE(strict_series, nullptr);
+        const auto a = fast_series->points();
+        const auto b = strict_series->points();
+        ASSERT_GT(a.size(), 0u);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].x, b[i].x) << "point " << i;
+            EXPECT_EQ(a[i].value, b[i].value) << "point " << i;
+        }
     }
+}
+
+TEST(ChipTelemetryTest, SamplingPreservesBitIdenticalResults)
+{
+    Placement pl;
+    pl.entries = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
+    expectSamplingPreservesResults(
+        ChipConfig::homogeneous("2B", CoreParams::big(), 2), pl,
+        {"mcf", "milc", "hmmer", "mcf"}, RunLimits{}, 12'000, 3'000, 2'000);
+}
+
+/** Three threads time-share one slot: thread rotations every 512 cycles
+ * and samples every 700 are two boundary grids a fast-forward jump must
+ * stop at, and each boundary action must run exactly once at its cycle. */
+TEST(ChipTelemetryTest, TimeSharingSamplingPreservesBitIdenticalResults)
+{
+    Placement pl;
+    pl.entries = {{0, 0}, {0, 0}, {0, 0}};
+    RunLimits rotating;
+    rotating.quantum = 512;
+    expectSamplingPreservesResults(
+        ChipConfig::homogeneous("1B", CoreParams::big(), 1), pl,
+        {"mcf", "milc", "hmmer"}, rotating, 2'000, 500, 700);
 }
 
 TEST(ChipTelemetryTest, RebuildWorksForHandBuiltResults)

@@ -13,11 +13,11 @@
 #      warning) — i.e. every chunk the fleet ever delivered was durable
 #      and nothing was redone.
 #
-# Usage: ckpt_kill_resume.sh <smtflex binary> [rounds]
+# Usage: kill_resume.sh <smtflex binary> [rounds]
 
 set -euo pipefail
 
-BIN=${1:?usage: ckpt_kill_resume.sh <smtflex binary> [rounds]}
+BIN=${1:?usage: kill_resume.sh <smtflex binary> [rounds]}
 ROUNDS=${2:-3}
 
 export SMTFLEX_BUDGET=${SMTFLEX_BUDGET:-2000}

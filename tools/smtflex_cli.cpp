@@ -22,16 +22,18 @@
  * responses are byte-identical to this CLI's output.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "ckpt/store.h"
 #include "common/env.h"
 #include "common/log.h"
 #include "dist/coordinator.h"
@@ -55,17 +57,21 @@ using namespace smtflex;
 
 namespace {
 
-/** Tiny flag parser: --key value and boolean --key. */
+/** Tiny flag parser: --key value and boolean --key. Command @p cmd reads
+ * exactly the flags in @p known; any other flag is fatal. */
 class Args
 {
   public:
-    Args(int argc, char **argv, int first)
+    Args(int argc, char **argv, int first, const char *cmd,
+         std::initializer_list<std::string_view> known)
     {
         for (int i = first; i < argc; ++i) {
             std::string key = argv[i];
             if (key.rfind("--", 0) != 0)
                 fatal("unexpected argument '", key, "'");
             key = key.substr(2);
+            if (std::find(known.begin(), known.end(), key) == known.end())
+                fatal(cmd, ": unknown flag '--", key, "'");
             std::string value;
             if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
                 value = argv[i + 1];
@@ -228,7 +234,7 @@ cmdIsolated(int argc, char **argv)
         }
         req.benches.push_back(argv[i]);
     }
-    const Args args(argc, argv, firstFlag);
+    const Args args(argc, argv, firstFlag, "isolated", {"cache", "addr"});
     serve::Request wire;
     wire.op = serve::Op::kIsolated;
     wire.isolated = req;
@@ -240,8 +246,12 @@ cmdIsolated(int argc, char **argv)
 }
 
 int
-cmdRun(const Args &args)
+cmdRun(int argc, char **argv)
 {
+    const Args args(argc, argv, 2, "run",
+                    {"design", "workload", "budget", "warmup", "seed",
+                     "no-smt", "prefetch", "naive-sched", "bw", "report",
+                     "cache", "addr"});
     serve::RunRequest req;
     req.design = args.get("design", "4B");
     const std::string workload_arg = args.get("workload", "");
@@ -270,8 +280,11 @@ cmdRun(const Args &args)
 }
 
 int
-cmdSweep(const Args &args)
+cmdSweep(int argc, char **argv)
 {
+    const Args args(argc, argv, 2, "sweep",
+                    {"design", "bench", "het", "no-smt", "bw", "cache",
+                     "addr"});
     serve::SweepRequest req;
     req.design = args.get("design", "4B");
     req.bench = args.get("bench", "");
@@ -291,8 +304,11 @@ cmdSweep(const Args &args)
 }
 
 int
-cmdSchedule(const Args &args)
+cmdSchedule(int argc, char **argv)
 {
+    const Args args(argc, argv, 2, "schedule",
+                    {"figure", "design", "benchmarks", "policy", "no-smt",
+                     "bw", "cache", "addr"});
     if (args.has("figure")) {
         // The DESIGN.md §14 figure: online policies vs the naive and
         // offline-oracle baselines over the reference mixes.
@@ -324,8 +340,11 @@ cmdSchedule(const Args &args)
 }
 
 int
-cmdParsec(const Args &args)
+cmdParsec(int argc, char **argv)
 {
+    const Args args(argc, argv, 2, "parsec",
+                    {"design", "no-smt", "bw", "prefetch", "app", "threads",
+                     "seed", "throttle"});
     const ChipConfig cfg = designFromArgs(args);
     const std::string app_name = args.get("app", "blackscholes");
     const auto threads =
@@ -355,8 +374,10 @@ cmdParsec(const Args &args)
 }
 
 int
-cmdTrace(const Args &args)
+cmdTrace(int argc, char **argv)
 {
+    const Args args(argc, argv, 2, "trace",
+                    {"bench", "out", "count", "seed", "thread"});
     const std::string bench = args.get("bench", "");
     const std::string out_path = args.get("out", "");
     if (bench.empty() || out_path.empty())
@@ -379,8 +400,11 @@ cmdTrace(const Args &args)
 }
 
 int
-cmdServe(const Args &args)
+cmdServe(int argc, char **argv)
 {
+    const Args args(argc, argv, 2, "serve",
+                    {"jobs", "host", "port", "queue", "batch", "max-frame",
+                     "drain-timeout", "cache"});
     if (args.has("jobs"))
         exec::ThreadPool::configureGlobal(
             static_cast<unsigned>(args.getInt("jobs", 0)));
@@ -424,8 +448,14 @@ cmdServe(const Args &args)
  * an ordinary single-node server.
  */
 int
-cmdCoordinator(const Args &args)
+cmdCoordinator(int argc, char **argv)
 {
+    const Args args(
+        argc, argv, 2, "coordinator",
+        {"jobs", "host", "port", "queue", "batch", "max-frame",
+         "drain-timeout", "cache", "backend", "chunk-rows", "steal-after-ms",
+         "max-dispatch", "quarantine-after", "probe-timeout-ms",
+         "op-timeout-ms", "connect-timeout-ms"});
     if (args.has("jobs"))
         exec::ThreadPool::configureGlobal(
             static_cast<unsigned>(args.getInt("jobs", 0)));
@@ -493,8 +523,9 @@ cmdCoordinator(const Args &args)
  * --metrics the full registry in Prometheus exposition format.
  */
 int
-cmdStats(const Args &args)
+cmdStats(int argc, char **argv)
 {
+    const Args args(argc, argv, 2, "stats", {"addr", "metrics"});
     const std::string addr = args.get("addr", "");
     if (addr.empty())
         fatal("stats: --addr HOST:PORT required");
@@ -537,8 +568,6 @@ usage()
         "         [--warmup N] [--seed N] [--bw G] [--prefetch]\n"
         "         [--naive-sched] [--report text|csv-threads|csv-cores]\n"
         "         [--cache FILE] [--addr HOST:PORT]\n"
-        "         [--ckpt DIR[:INTERVAL]]  (crash-safe snapshots +\n"
-        "                                warm resume; also SMTFLEX_CKPT)\n"
         "  sweep  --design D [--bench b | --het] [--no-smt] [--bw G]\n"
         "         [--addr HOST:PORT]    (--addr: execute on a running\n"
         "                                serve/coordinator endpoint)\n"
@@ -553,7 +582,7 @@ usage()
         "  trace  --bench b --out file [--count N] [--seed N]\n"
         "  serve  [--port N] [--host A] [--jobs N] [--queue N]\n"
         "         [--batch N] [--max-frame N] [--drain-timeout MS]\n"
-        "         [--cache FILE] [--ckpt DIR[:INTERVAL]]\n"
+        "         [--cache FILE]\n"
         "  coordinator [--backend HOST:PORT ...] [serve options]\n"
         "         [--chunk-rows N] [--steal-after-ms N] [--max-dispatch N]\n"
         "         [--quarantine-after N] [--probe-timeout-ms N]\n"
@@ -581,27 +610,22 @@ main(int argc, char **argv)
             return cmdBenchmarks();
         if (cmd == "isolated")
             return cmdIsolated(argc, argv);
-        const Args args(argc, argv, 2);
-        // Process-wide snapshotting switch (equivalent to SMTFLEX_CKPT;
-        // the flag wins when both are given).
-        if (args.has("ckpt"))
-            ckpt::configureProcessSpec(args.get("ckpt"));
         if (cmd == "run")
-            return cmdRun(args);
+            return cmdRun(argc, argv);
         if (cmd == "sweep")
-            return cmdSweep(args);
+            return cmdSweep(argc, argv);
         if (cmd == "schedule")
-            return cmdSchedule(args);
+            return cmdSchedule(argc, argv);
         if (cmd == "parsec")
-            return cmdParsec(args);
+            return cmdParsec(argc, argv);
         if (cmd == "trace")
-            return cmdTrace(args);
+            return cmdTrace(argc, argv);
         if (cmd == "serve")
-            return cmdServe(args);
+            return cmdServe(argc, argv);
         if (cmd == "coordinator")
-            return cmdCoordinator(args);
+            return cmdCoordinator(argc, argv);
         if (cmd == "stats")
-            return cmdStats(args);
+            return cmdStats(argc, argv);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "smtflex: %s\n", e.what());
         return 1;

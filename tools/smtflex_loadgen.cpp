@@ -8,10 +8,12 @@
  *                   --mix ping=2,run=4,sweep=1,isolated=1
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/env.h"
@@ -37,9 +39,7 @@ usage()
         "  --requests N      requests per connection (default 50)\n"
         "  --seed N          request-sequence seed (default 1)\n"
         "  --mix SPEC        op=weight list over ping, stats, metrics,\n"
-        "                    run, sweep, isolated, schedule and warmrun\n"
-        "                    (runs sharing a workload prefix, exercising\n"
-        "                    SMTFLEX_CKPT warm starts; default\n"
+        "                    run, sweep, isolated and schedule (default\n"
         "                    ping=2,run=4,sweep=1,isolated=1)\n"
         "  --distinct N      distinct simulation variants (default 6)\n"
         "  --budget N        instructions per run request (default 2000)\n"
@@ -57,30 +57,39 @@ usage()
     return 2;
 }
 
+/** Every flag usage() documents (--help aside). */
+constexpr std::string_view kFlags[] = {
+    "host", "port", "addr", "connections", "requests", "seed", "mix",
+    "distinct", "budget", "warmup", "deadline-ms", "ping-delay-ms",
+    "stats-interval", "chaos", "chaos-every", "retries", "op-timeout-ms"};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::map<std::string, std::string> flags;
-    std::vector<std::string> addrs; // --addr accumulates, unlike the rest
-    for (int i = 1; i < argc; ++i) {
-        std::string key = argv[i];
-        if (key.rfind("--", 0) != 0)
-            return usage();
-        key = key.substr(2);
-        if (key == "help")
-            return usage();
-        std::string value;
-        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-            value = argv[++i];
-        if (key == "addr")
-            addrs.push_back(value);
-        else
-            flags[key] = value;
-    }
-
     try {
+        std::map<std::string, std::string> flags;
+        std::vector<std::string> addrs; // --addr accumulates, unlike the rest
+        for (int i = 1; i < argc; ++i) {
+            std::string key = argv[i];
+            if (key.rfind("--", 0) != 0)
+                return usage();
+            key = key.substr(2);
+            if (key == "help")
+                return usage();
+            if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
+                std::end(kFlags))
+                fatal("loadgen: unknown flag '--", key, "'");
+            std::string value;
+            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
+                value = argv[++i];
+            if (key == "addr")
+                addrs.push_back(value);
+            else
+                flags[key] = value;
+        }
+
         serve::LoadGenOptions options;
         const auto str = [&](const char *key, const std::string &fallback) {
             const auto it = flags.find(key);
