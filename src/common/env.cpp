@@ -49,6 +49,25 @@ parseU32(const std::string &text, const std::string &what)
     return static_cast<std::uint32_t>(value);
 }
 
+std::uint16_t
+parsePort(const std::string &text, const std::string &what)
+{
+    const std::uint64_t value = parseU64(text, what);
+    if (value > UINT16_MAX)
+        fatal(what, ": value ", value, " out of port range 0-65535");
+    return static_cast<std::uint16_t>(value);
+}
+
+std::pair<std::string, std::uint16_t>
+parseEndpoint(const std::string &addr, const std::string &what)
+{
+    const auto colon = addr.rfind(':');
+    if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size())
+        fatal(what, ": must be HOST:PORT, got '", addr, "'");
+    return {addr.substr(0, colon),
+            parsePort(addr.substr(colon + 1), what + " port")};
+}
+
 double
 parseDouble(const std::string &text, const std::string &what)
 {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 namespace smtflex {
 
@@ -30,6 +31,14 @@ std::uint64_t parseU64(const std::string &text, const std::string &what);
 
 /** Like parseU64 but range-checked to 32 bits. */
 std::uint32_t parseU32(const std::string &text, const std::string &what);
+
+/** Like parseU64 but range-checked to a TCP port (0-65535). */
+std::uint16_t parsePort(const std::string &text, const std::string &what);
+
+/** Split @p addr as HOST:PORT, the port through parsePort; fatal() naming
+ * @p what when the host or the port is missing. */
+std::pair<std::string, std::uint16_t> parseEndpoint(const std::string &addr,
+                                                    const std::string &what);
 
 /** Parse @p text as a floating-point value; fatal() naming @p what on
  * malformed values. */

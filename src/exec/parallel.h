@@ -1,18 +1,16 @@
 /**
  * @file
- * Structured parallel primitives over the work-stealing ThreadPool:
- * parallel_for over an index range, par_do for two-way forks, and map /
- * mapItems for batches of independent experiments with results in index
- * order. All block until the work completes and rethrow the first task
- * exception, so call sites read like their serial equivalents. On a pool
- * without workers (SMTFLEX_JOBS=1) they degrade to plain loops/calls.
+ * The one parallel primitive callers use: map / mapItems over a batch of
+ * independent experiments, with results in index order. Both block until
+ * every index finished and rethrow the first exception, so call sites read
+ * like their serial equivalents. On a pool without workers
+ * (SMTFLEX_JOBS=1) they degrade to a plain ascending loop.
  */
 
 #ifndef SMTFLEX_EXEC_PARALLEL_H
 #define SMTFLEX_EXEC_PARALLEL_H
 
 #include <cstddef>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -22,25 +20,10 @@ namespace smtflex {
 namespace exec {
 
 /**
- * Run fn(i) for every i in [begin, end). Iterations are grouped into
- * chunks of @p grain (0 = pick automatically from the pool width) and
- * executed on @p pool (nullptr = the global pool). Iteration order inside
- * a chunk is ascending; chunks run in any order, so the body must only
- * touch per-index state.
- */
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)> &fn,
-                  std::size_t grain = 0, ThreadPool *pool = nullptr);
-
-/** Run two independent thunks, potentially in parallel. */
-void par_do(const std::function<void()> &left,
-            const std::function<void()> &right, ThreadPool *pool = nullptr);
-
-/**
- * Evaluate fn(0..n-1) on @p pool (nullptr = the global pool), one task per
- * index so the pool balances even when experiment costs vary wildly, and
- * return the results in index order. Result i is fn(i) for any worker
- * count or steal order, which is what makes SMTFLEX_JOBS=1 and
+ * Evaluate fn(0..n-1) on @p pool (nullptr = the global pool), one claim
+ * per index so the pool balances even when experiment costs vary wildly,
+ * and return the results in index order. Result i is fn(i) for any worker
+ * count or claim order, which is what makes SMTFLEX_JOBS=1 and
  * SMTFLEX_JOBS=N produce byte-identical figures (the simulations are
  * deterministic functions of their inputs). R must be
  * default-constructible. The first exception propagates: a failing
@@ -52,9 +35,10 @@ map(std::size_t n, Fn &&fn, ThreadPool *pool = nullptr)
     -> std::vector<decltype(fn(std::size_t{0}))>
 {
     std::vector<decltype(fn(std::size_t{0}))> results(n);
-    parallel_for(
-        0, n, [&](std::size_t i) { results[i] = fn(i); }, /*grain=*/1,
-        pool);
+    // An empty map neither builds the global pool nor reads SMTFLEX_JOBS.
+    if (n > 0)
+        (pool ? *pool : ThreadPool::global())
+            .forEach(n, [&](std::size_t i) { results[i] = fn(i); });
     return results;
 }
 

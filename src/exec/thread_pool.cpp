@@ -1,44 +1,44 @@
 #include "thread_pool.h"
 
+#include <atomic>
+#include <exception>
+#include <memory>
+
 #include "common/env.h"
 #include "common/log.h"
 
 namespace smtflex {
 namespace exec {
 
-namespace {
-
-/** Which pool (if any) the current thread is a worker of. */
-struct WorkerIdentity
+/** One forEach() call; lives on its caller's stack. */
+struct ThreadPool::Batch
 {
-    ThreadPool *pool = nullptr;
-    std::size_t index = 0;
+    const std::function<void(std::size_t)> &body;
+    const std::size_t n;
+    std::atomic<std::size_t> next{0};   ///< next index to hand out
+    std::size_t done = 0;               ///< indices finished (mutex_)
+    std::exception_ptr error{};         ///< first exception (mutex_)
+    std::condition_variable finished{}; ///< done reached n
+
+    std::size_t claim() { return next.fetch_add(1); }
 };
-
-thread_local WorkerIdentity tlsWorker;
-
-} // namespace
 
 ThreadPool::ThreadPool(unsigned workers)
 {
-    workers_.reserve(workers);
+    threads_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
-        workers_.push_back(std::make_unique<Worker>());
-    for (unsigned i = 0; i < workers; ++i)
-        workers_[i]->thread = std::thread([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(idleMutex_);
-        stop_.store(true, std::memory_order_release);
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
     }
-    idleCv_.notify_all();
-    for (auto &worker : workers_) {
-        if (worker->thread.joinable())
-            worker->thread.join();
-    }
+    wake_.notify_all();
+    for (auto &thread : threads_)
+        thread.join();
 }
 
 unsigned
@@ -59,8 +59,8 @@ std::unique_ptr<ThreadPool> globalPool;
 ThreadPool &
 makeGlobal(unsigned jobs)
 {
-    // jobs == 1 means "no extra threads": tasks run inline on the
-    // submitting thread, which reproduces serial execution exactly.
+    // jobs == 1 means "no extra threads": batches run inline on the
+    // calling thread, which reproduces serial execution exactly.
     globalPool = std::make_unique<ThreadPool>(jobs <= 1 ? 0 : jobs);
     return *globalPool;
 }
@@ -96,160 +96,70 @@ ThreadPool::resetGlobalForTesting(unsigned jobs)
 }
 
 void
-ThreadPool::submit(Task task)
+ThreadPool::forEach(std::size_t n,
+                    const std::function<void(std::size_t)> &body)
 {
-    if (workers_.empty()) {
-        task.group->execute(task.fn);
-        return;
-    }
-    const WorkerIdentity id = tlsWorker;
-    if (id.pool == this) {
-        // Spawned from a worker: LIFO on the owner's deque for locality.
-        Worker &own = *workers_[id.index];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        own.deque.push_front(std::move(task));
-    } else {
-        const std::size_t victim =
-            nextWorker_.fetch_add(1, std::memory_order_relaxed) %
-            workers_.size();
-        Worker &worker = *workers_[victim];
-        std::lock_guard<std::mutex> lock(worker.mutex);
-        worker.deque.push_back(std::move(task));
-    }
-    queued_.fetch_add(1, std::memory_order_release);
-    {
-        // Pairs with the re-check sleeping workers do under idleMutex_:
-        // prevents a worker from going to sleep between our queue push
-        // and this notification.
-        std::lock_guard<std::mutex> lock(idleMutex_);
-    }
-    idleCv_.notify_one();
-}
-
-bool
-ThreadPool::popTask(Worker &worker, bool own, const TaskGroup *only,
-                    Task &out)
-{
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    auto &dq = worker.deque;
-    if (own) {
-        for (auto it = dq.begin(); it != dq.end(); ++it) {
-            if (only == nullptr || it->group == only) {
-                out = std::move(*it);
-                dq.erase(it);
-                return true;
-            }
+    Batch batch{body, n};
+    // One index, or no worker to share with: run inline, in order.
+    const bool shared = n > 1 && !threads_.empty();
+    if (shared) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            open_.push_back(&batch);
         }
-    } else {
-        for (auto it = dq.rbegin(); it != dq.rend(); ++it) {
-            if (only == nullptr || it->group == only) {
-                out = std::move(*it);
-                dq.erase(std::next(it).base());
-                return true;
-            }
-        }
+        wake_.notify_all();
     }
-    return false;
-}
-
-bool
-ThreadPool::runOneTask(const TaskGroup *only)
-{
-    if (workers_.empty())
-        return false;
-    Task task;
-    bool found = false;
-    const WorkerIdentity id = tlsWorker;
-    const std::size_t start = id.pool == this ? id.index : 0;
-    if (id.pool == this)
-        found = popTask(*workers_[start], /*own=*/true, only, task);
-    for (std::size_t k = 0; !found && k < workers_.size(); ++k) {
-        const std::size_t victim = (start + k) % workers_.size();
-        if (id.pool == this && victim == id.index)
-            continue;
-        found = popTask(*workers_[victim], /*own=*/false, only, task);
+    std::size_t mine = 0;
+    for (std::size_t i = batch.claim(); i < n; i = batch.claim(), ++mine)
+        runIndex(batch, i);
+    if (shared) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        // Off the list, no worker can reach the batch any more; wait for
+        // the indices workers already claimed.
+        std::erase(open_, &batch);
+        batch.done += mine;
+        batch.finished.wait(lock, [&] { return batch.done == n; });
     }
-    if (!found)
-        return false;
-    queued_.fetch_sub(1, std::memory_order_acq_rel);
-    task.group->execute(task.fn);
-    return true;
+    if (batch.error)
+        std::rethrow_exception(batch.error);
 }
 
 void
-ThreadPool::workerLoop(std::size_t index)
-{
-    tlsWorker = {this, index};
-    for (;;) {
-        if (runOneTask(nullptr))
-            continue;
-        std::unique_lock<std::mutex> lock(idleMutex_);
-        idleCv_.wait(lock, [this] {
-            return stop_.load(std::memory_order_acquire) ||
-                   queued_.load(std::memory_order_acquire) > 0;
-        });
-        if (stop_.load(std::memory_order_acquire))
-            break;
-    }
-    tlsWorker = {};
-}
-
-void
-TaskGroup::run(std::function<void()> fn)
-{
-    pending_.fetch_add(1, std::memory_order_acq_rel);
-    pool_.submit({std::move(fn), this});
-}
-
-void
-TaskGroup::execute(const std::function<void()> &fn)
+ThreadPool::runIndex(Batch &batch, std::size_t i)
 {
     try {
-        fn();
+        batch.body(i);
     } catch (...) {
-        std::lock_guard<std::mutex> lock(errorMutex_);
-        if (!error_)
-            error_ = std::current_exception();
-    }
-    {
-        // The decrement and notification stay inside one doneMutex_
-        // critical section, and wait() only concludes "done" while holding
-        // the same mutex. That pairing is what makes it safe for the
-        // waiter to destroy the group the moment wait() returns: a waiter
-        // can observe pending_ == 0 only after the final decrementer
-        // released the mutex, and past that point this thread never
-        // touches the group again.
-        std::lock_guard<std::mutex> lock(doneMutex_);
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            doneCv_.notify_all();
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!batch.error)
+            batch.error = std::current_exception();
     }
 }
 
 void
-TaskGroup::wait()
+ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        // Help: run this group's queued tasks on the waiting thread. Only
-        // this group's tasks are eligible, so a wait can never wander into
-        // an unrelated task that waits back on us.
-        if (pool_.runOneTask(this))
+        wake_.wait(lock, [this] { return stop_ || !open_.empty(); });
+        if (stop_)
+            return;
+        // The newest batch: its caller may be a worker blocked inside an
+        // index of an older one. Claim under mutex_, so a worker touches a
+        // batch only while it is listed or to finish an index it claimed;
+        // its caller waits for both before the batch leaves its stack.
+        Batch &batch = *open_.back();
+        const std::size_t i = batch.claim();
+        if (i + 1 >= batch.n)
+            open_.pop_back(); // nothing left to hand out
+        if (i >= batch.n)
             continue;
-        // Nothing left to help with: any remaining tasks are running on
-        // other threads. Completion may only be observed under doneMutex_
-        // (see execute()). Sleep until a task finishes, then rescan — a
-        // running task may have spawned more work we can help with.
-        std::unique_lock<std::mutex> lock(doneMutex_);
-        if (pending_.load(std::memory_order_acquire) == 0)
-            break;
-        doneCv_.wait(lock);
+        lock.unlock();
+        runIndex(batch, i);
+        lock.lock();
+        if (++batch.done == batch.n)
+            batch.finished.notify_all();
     }
-    std::exception_ptr error;
-    {
-        std::lock_guard<std::mutex> lock(errorMutex_);
-        error = error_;
-    }
-    if (error)
-        std::rethrow_exception(error);
 }
 
 } // namespace exec

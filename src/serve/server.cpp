@@ -845,8 +845,8 @@ Server::dispatcherLoop()
     std::vector<Job> batch;
     while (queue_->popBatch(batch, batchMax_) > 0) {
         executing_.store(batch.size());
-        // One pool task per request: independent simulations spread over
-        // the work-stealing pool, exactly like a figure sweep.
+        // One map index per request: independent simulations spread over
+        // the exec pool, exactly like a figure sweep.
         auto completions = exec::mapItems(
             batch, [&](const Job &job) { return executeJob(job); });
         executing_.store(0);

@@ -6,9 +6,8 @@
  * machine (incremental frame decoding on reads, buffered flushing on
  * writes) and request admission. Admitted work flows through a bounded
  * BoundedQueue to one dispatcher thread, which drains it in batches onto
- * the smtflex::exec work-stealing pool via exec::mapItems and posts
- * rendered responses back to the I/O thread over a completion queue and
- * a wake pipe.
+ * the smtflex::exec pool via exec::mapItems and posts rendered responses
+ * back to the I/O thread over a completion queue and a wake pipe.
  *
  * Admission policy, in order:
  *   1. ping (undelayed), stats and metrics are answered inline on the

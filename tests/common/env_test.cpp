@@ -89,6 +89,19 @@ TEST(ParseTest, StrictParsersRejectGarbage)
     }
 }
 
+TEST(ParseTest, PortsAndEndpointsAreRangeChecked)
+{
+    EXPECT_EQ(parsePort("65535", "--port"), 65535u);
+    EXPECT_THROW(parsePort("65536", "--port"), FatalError);
+    EXPECT_EQ(parseEndpoint("127.0.0.1:65535", "--addr"),
+              (std::pair<std::string, std::uint16_t>{"127.0.0.1", 65535}));
+    EXPECT_THROW(parseEndpoint("127.0.0.1:65536", "--addr"), FatalError);
+    for (const char *bad : {"127.0.0.1", "127.0.0.1:", ":7333", ""}) {
+        EXPECT_THROW(parseEndpoint(bad, "--addr"), FatalError)
+            << "'" << bad << "'";
+    }
+}
+
 TEST(ParseTest, ErrorMessageNamesTheField)
 {
     try {

@@ -2,9 +2,9 @@
  * @file
  * End-to-end determinism of the parallel experiment engine: a design-space
  * sweep must emit byte-identical CSV for SMTFLEX_JOBS=1 (serial) and
- * SMTFLEX_JOBS=8 (work-stealing, arbitrary steal order), because results
- * land by task index and every simulation is a deterministic function of
- * its inputs.
+ * SMTFLEX_JOBS=8 (eight workers claiming indices in arbitrary order),
+ * because results land by index and every simulation is a deterministic
+ * function of its inputs.
  */
 
 #include <gtest/gtest.h>
@@ -68,7 +68,7 @@ TEST_F(DeterminismTest, SweepCsvByteIdenticalSerialVsEightJobs)
     exec::ThreadPool::resetGlobalForTesting(8);
     const std::string parallel = sweepCsv();
     EXPECT_EQ(serial, parallel);
-    // And parallel runs agree with each other across steal schedules.
+    // And parallel runs agree with each other across claim orders.
     EXPECT_EQ(parallel, sweepCsv());
     EXPECT_NE(serial.find("4B,1,homogeneous,"), std::string::npos);
 }

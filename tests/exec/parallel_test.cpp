@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for parallel_for / par_do / map / mapItems: every index runs
- * exactly once for any worker count, results land by task index, a
- * failing index fails the map, and nesting matches the serial semantics.
+ * Tests for map / mapItems: every index runs exactly once for any worker
+ * count, results land by index, a failing index fails the map, and
+ * nesting matches the serial semantics.
  */
 
 #include <gtest/gtest.h>
@@ -19,77 +19,54 @@ namespace smtflex {
 namespace exec {
 namespace {
 
-TEST(ParallelForTest, EveryIndexExactlyOnceForAnyWorkerCount)
+TEST(MapTest, EveryIndexExactlyOnceForAnyWorkerCount)
 {
     for (const unsigned workers : {0u, 1u, 2u, 3u, 8u}) {
         ThreadPool pool(workers);
         const std::size_t n = 10'000;
         std::vector<std::atomic<int>> hits(n);
-        parallel_for(
-            0, n, [&](std::size_t i) { hits[i].fetch_add(1); },
-            /*grain=*/0, &pool);
-        for (std::size_t i = 0; i < n; ++i)
+        const auto before = map(
+            n, [&](std::size_t i) { return hits[i].fetch_add(1); }, &pool);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(before[i], 0)
+                << "index " << i << ", " << workers << " workers";
             ASSERT_EQ(hits[i].load(), 1)
                 << "index " << i << ", " << workers << " workers";
+        }
     }
 }
 
-TEST(ParallelForTest, RespectsExplicitGrainAndSubranges)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(100);
-    parallel_for(
-        10, 60, [&](std::size_t i) { hits[i].fetch_add(1); },
-        /*grain=*/7, &pool);
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), (i >= 10 && i < 60) ? 1 : 0) << i;
-}
-
-TEST(ParallelForTest, EmptyAndSingletonRanges)
+TEST(MapTest, EmptyAndSingletonMaps)
 {
     ThreadPool pool(2);
     int calls = 0;
-    parallel_for(5, 5, [&](std::size_t) { ++calls; }, 0, &pool);
+    const auto fn = [&](std::size_t i) {
+        ++calls;
+        return static_cast<int>(i) + 5;
+    };
+    EXPECT_TRUE(map(0, fn, &pool).empty());
     EXPECT_EQ(calls, 0);
-    parallel_for(5, 6, [&](std::size_t i) { calls += static_cast<int>(i); },
-                 0, &pool);
-    EXPECT_EQ(calls, 5);
+    EXPECT_EQ(map(1, fn, &pool), std::vector<int>{5});
+    EXPECT_EQ(calls, 1);
 }
 
-TEST(ParallelForTest, NestedParallelForSumsCorrectly)
+TEST(MapTest, NestedMapsSumCorrectly)
 {
     ThreadPool pool(4);
     const std::size_t rows = 32, cols = 64;
-    std::vector<long> row_sums(rows, 0);
-    parallel_for(
-        0, rows,
+    const auto rowSums = map(
+        rows,
         [&](std::size_t r) {
-            std::vector<long> cells(cols);
-            parallel_for(
-                0, cols,
-                [&](std::size_t c) {
-                    cells[c] = static_cast<long>(r * cols + c);
-                },
-                0, &pool);
-            row_sums[r] = std::accumulate(cells.begin(), cells.end(), 0L);
+            const auto cells = map(
+                cols,
+                [&](std::size_t c) { return static_cast<long>(r * cols + c); },
+                &pool);
+            return std::accumulate(cells.begin(), cells.end(), 0L);
         },
-        /*grain=*/1, &pool);
-    const long total =
-        std::accumulate(row_sums.begin(), row_sums.end(), 0L);
+        &pool);
+    const long total = std::accumulate(rowSums.begin(), rowSums.end(), 0L);
     const long n = static_cast<long>(rows * cols);
     EXPECT_EQ(total, n * (n - 1) / 2);
-}
-
-TEST(ParDoTest, RunsBothBranches)
-{
-    for (const unsigned workers : {0u, 2u}) {
-        ThreadPool pool(workers);
-        std::atomic<int> left{0}, right{0};
-        par_do([&] { left.fetch_add(1); }, [&] { right.fetch_add(1); },
-               &pool);
-        EXPECT_EQ(left.load(), 1);
-        EXPECT_EQ(right.load(), 1);
-    }
 }
 
 TEST(MapTest, ResultsLandByIndexForAnyWorkerCount)

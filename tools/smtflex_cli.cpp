@@ -103,39 +103,45 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
-    /** Strictly parsed integer flag: `--seed abc` is fatal, not 0. */
+    /** Strictly parsed integer flag: `--seed abc` is fatal, not 0, and
+     * so is a value out of the flag's range. */
     std::uint64_t
     getInt(const std::string &key, std::uint64_t fallback) const
     {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : parseU64(it->second, "--" + key);
+        return parsed(key, fallback, parseU64);
+    }
+
+    std::uint32_t
+    getU32(const std::string &key, std::uint32_t fallback) const
+    {
+        return parsed(key, fallback, parseU32);
+    }
+
+    std::uint16_t
+    getPort(const std::string &key, std::uint16_t fallback) const
+    {
+        return parsed(key, fallback, parsePort);
     }
 
     double
     getDouble(const std::string &key, double fallback) const
     {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : parseDouble(it->second, "--" + key);
+        return parsed(key, fallback, parseDouble);
     }
 
   private:
+    template <typename T>
+    T
+    parsed(const std::string &key, T fallback,
+           T (*parse)(const std::string &, const std::string &)) const
+    {
+        const auto it = values_.find(key);
+        return it == values_.end() ? fallback : parse(it->second, "--" + key);
+    }
+
     std::map<std::string, std::string> values_;
     std::vector<std::pair<std::string, std::string>> ordered_;
 };
-
-/** Parse a HOST:PORT endpoint string, fatal() on malformed input. */
-std::pair<std::string, std::uint16_t>
-parseEndpoint(const std::string &addr, const char *what)
-{
-    const auto colon = addr.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size())
-        fatal(what, " must be HOST:PORT, got '", addr, "'");
-    return {addr.substr(0, colon),
-            static_cast<std::uint16_t>(parseU64(
-                addr.substr(colon + 1), std::string(what) + " port"))};
-}
 
 /** StudyOptions from the environment plus the --cache override. */
 StudyOptions
@@ -144,6 +150,21 @@ studyOptionsFromArgs(const Args &args)
     StudyOptions opts = StudyOptions::fromEnv();
     if (args.has("cache"))
         opts.cachePath = args.get("cache");
+    return opts;
+}
+
+/** The serve options `serve` and `coordinator` share. */
+serve::ServerOptions
+serverOptionsFromArgs(const Args &args)
+{
+    serve::ServerOptions opts;
+    opts.host = args.get("host", opts.host);
+    opts.port = args.getPort("port", opts.port);
+    opts.queueCapacity = args.getInt("queue", opts.queueCapacity);
+    opts.batchMax = args.getInt("batch", opts.batchMax);
+    opts.maxFrame = args.getInt("max-frame", opts.maxFrame);
+    opts.drainTimeoutMs = args.getInt("drain-timeout", opts.drainTimeoutMs);
+    opts.study = studyOptionsFromArgs(args);
     return opts;
 }
 
@@ -347,8 +368,7 @@ cmdParsec(int argc, char **argv)
                      "seed", "throttle"});
     const ChipConfig cfg = designFromArgs(args);
     const std::string app_name = args.get("app", "blackscholes");
-    const auto threads =
-        static_cast<std::uint32_t>(args.getInt("threads", 8));
+    const std::uint32_t threads = args.getU32("threads", 8);
     const auto seed = args.getInt("seed", 42);
 
     ParsecRunner runner(cfg, parsecProfile(app_name), threads, seed,
@@ -384,7 +404,7 @@ cmdTrace(int argc, char **argv)
         fatal("trace: --bench and --out required");
     const auto count = args.getInt("count", 100'000);
     const auto seed = args.getInt("seed", 42);
-    const auto tid = static_cast<std::uint32_t>(args.getInt("thread", 0));
+    const std::uint32_t tid = args.getU32("thread", 0);
 
     TraceGenerator gen(specProfile(bench), seed, tid,
                        AddressSpace::forThread(tid));
@@ -406,19 +426,8 @@ cmdServe(int argc, char **argv)
                     {"jobs", "host", "port", "queue", "batch", "max-frame",
                      "drain-timeout", "cache"});
     if (args.has("jobs"))
-        exec::ThreadPool::configureGlobal(
-            static_cast<unsigned>(args.getInt("jobs", 0)));
-
-    serve::ServerOptions opts;
-    opts.host = args.get("host", opts.host);
-    opts.port = static_cast<std::uint16_t>(args.getInt("port", 7333));
-    opts.queueCapacity = args.getInt("queue", 0);
-    opts.batchMax = args.getInt("batch", 0);
-    opts.maxFrame = args.getInt("max-frame", serve::kDefaultMaxFrame);
-    opts.drainTimeoutMs = args.getInt("drain-timeout", opts.drainTimeoutMs);
-    opts.study = StudyOptions::fromEnv();
-    if (args.has("cache"))
-        opts.study.cachePath = args.get("cache");
+        exec::ThreadPool::configureGlobal(args.getU32("jobs", 0));
+    const serve::ServerOptions opts = serverOptionsFromArgs(args);
 
     serve::Server server(opts);
     server.bind();
@@ -457,31 +466,19 @@ cmdCoordinator(int argc, char **argv)
          "max-dispatch", "quarantine-after", "probe-timeout-ms",
          "op-timeout-ms", "connect-timeout-ms"});
     if (args.has("jobs"))
-        exec::ThreadPool::configureGlobal(
-            static_cast<unsigned>(args.getInt("jobs", 0)));
+        exec::ThreadPool::configureGlobal(args.getU32("jobs", 0));
 
     dist::CoordinatorOptions opts;
-    opts.server.host = args.get("host", opts.server.host);
-    opts.server.port = static_cast<std::uint16_t>(args.getInt("port", 7333));
-    opts.server.queueCapacity = args.getInt("queue", 0);
-    opts.server.batchMax = args.getInt("batch", 0);
-    opts.server.maxFrame = args.getInt("max-frame", serve::kDefaultMaxFrame);
-    opts.server.drainTimeoutMs =
-        args.getInt("drain-timeout", opts.server.drainTimeoutMs);
-    opts.server.study = StudyOptions::fromEnv();
-    if (args.has("cache"))
-        opts.server.study.cachePath = args.get("cache");
-
+    opts.server = serverOptionsFromArgs(args);
     for (const std::string &addr : args.all("backend")) {
         const auto [host, port] = parseEndpoint(addr, "--backend");
         opts.backends.push_back({host, port});
     }
     opts.chunkRows = args.getInt("chunk-rows", opts.chunkRows);
     opts.stealAfterMs = args.getInt("steal-after-ms", opts.stealAfterMs);
-    opts.maxDispatch =
-        static_cast<unsigned>(args.getInt("max-dispatch", opts.maxDispatch));
-    opts.pool.quarantineAfter = static_cast<unsigned>(
-        args.getInt("quarantine-after", opts.pool.quarantineAfter));
+    opts.maxDispatch = args.getU32("max-dispatch", opts.maxDispatch);
+    opts.pool.quarantineAfter =
+        args.getU32("quarantine-after", opts.pool.quarantineAfter);
     opts.pool.probeTimeoutMs =
         args.getInt("probe-timeout-ms", opts.pool.probeTimeoutMs);
     opts.pool.opTimeoutMs =
@@ -529,12 +526,7 @@ cmdStats(int argc, char **argv)
     const std::string addr = args.get("addr", "");
     if (addr.empty())
         fatal("stats: --addr HOST:PORT required");
-    const auto colon = addr.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size())
-        fatal("stats: --addr must be HOST:PORT, got '", addr, "'");
-    const std::string host = addr.substr(0, colon);
-    const auto port = static_cast<std::uint16_t>(
-        parseU64(addr.substr(colon + 1), "--addr port"));
+    const auto [host, port] = parseEndpoint(addr, "--addr");
 
     serve::Client client;
     client.connect(host, port);

@@ -95,31 +95,30 @@ main(int argc, char **argv)
             const auto it = flags.find(key);
             return it == flags.end() ? fallback : it->second;
         };
-        const auto num = [&](const char *key, std::uint64_t fallback) {
+        // Each integer flag parses at its field's width: an out-of-range
+        // value is fatal, never silently narrowed.
+        const auto parsed = [&](const char *key, auto fallback, auto parse) {
             const auto it = flags.find(key);
             return it == flags.end()
                 ? fallback
-                : parseU64(it->second, std::string("--") + key);
+                : parse(it->second, std::string("--") + key);
+        };
+        const auto num = [&](const char *key, std::uint64_t fallback) {
+            return parsed(key, fallback, parseU64);
+        };
+        const auto num32 = [&](const char *key, std::uint32_t fallback) {
+            return parsed(key, fallback, parseU32);
         };
         options.host = str("host", options.host);
-        options.port = static_cast<std::uint16_t>(num("port", options.port));
-        for (const std::string &addr : addrs) {
-            const auto colon = addr.rfind(':');
-            if (colon == std::string::npos || colon == 0)
-                fatal("loadgen: --addr '", addr, "' is not HOST:PORT");
-            options.targets.emplace_back(
-                addr.substr(0, colon),
-                static_cast<std::uint16_t>(
-                    parseU64(addr.substr(colon + 1), "--addr port")));
-        }
-        options.connections =
-            static_cast<unsigned>(num("connections", options.connections));
-        options.requestsPerConnection = static_cast<unsigned>(
-            num("requests", options.requestsPerConnection));
+        options.port = parsed("port", options.port, parsePort);
+        for (const std::string &addr : addrs)
+            options.targets.push_back(parseEndpoint(addr, "--addr"));
+        options.connections = num32("connections", options.connections);
+        options.requestsPerConnection =
+            num32("requests", options.requestsPerConnection);
         options.seed = num("seed", options.seed);
         options.mix = str("mix", options.mix);
-        options.distinct =
-            static_cast<unsigned>(num("distinct", options.distinct));
+        options.distinct = num32("distinct", options.distinct);
         options.budget = num("budget", options.budget);
         options.warmup = num("warmup", options.warmup);
         options.deadlineMs = num("deadline-ms", options.deadlineMs);
@@ -127,12 +126,11 @@ main(int argc, char **argv)
         options.statsIntervalMs =
             num("stats-interval", options.statsIntervalMs);
         options.chaos = str("chaos", options.chaos);
-        options.chaosEvery =
-            static_cast<unsigned>(num("chaos-every", options.chaosEvery));
+        options.chaosEvery = num32("chaos-every", options.chaosEvery);
         // Chaos without retries would abort the whole run on the first
         // self-inflicted wound; default to a forgiving client.
-        options.retry.maxRetries = static_cast<unsigned>(
-            num("retries", options.chaos.empty() ? 0 : 3));
+        options.retry.maxRetries =
+            num32("retries", options.chaos.empty() ? 0 : 3);
         options.retry.opTimeoutMs =
             num("op-timeout-ms", options.retry.opTimeoutMs);
         if (options.connections == 0 || options.requestsPerConnection == 0)
