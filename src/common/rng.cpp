@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace smtflex {
 
@@ -45,17 +46,33 @@ Rng::nextInt(std::int64_t lo, std::int64_t hi)
 Rng::Geometric::Geometric(double mean)
     : mean(mean), logQ(std::log1p(-(1.0 / mean)))
 {
+    // threshold[j]: the draw at which k = j + 1 begins (j >= 1).
+    const auto threshold = [this](std::uint32_t j) {
+        const long double t =
+            (1.0L - std::exp(static_cast<long double>(j) * logQ)) *
+            0x1.0p53L;
+        return static_cast<std::int64_t>(std::floor(t));
+    };
+    safeLo[0] = safeHi[0] = 0; // unused: k starts at 1
+    safeLo[1] = 0;
+    for (std::uint32_t k = 1; k <= kTableMax; ++k) {
+        // Strictly more than kGuard steps inside both thresholds (floor
+        // rounds each threshold down by less than one step).
+        const std::int64_t upper = threshold(k);
+        safeHi[k] = upper - kGuard - 1;
+        if (k < kTableMax)
+            safeLo[k + 1] = upper + kGuard + 1;
+    }
+    safeLo[kTableMax + 1] = std::numeric_limits<std::int64_t>::max();
+    safeHi[kTableMax + 1] = std::numeric_limits<std::int64_t>::max();
 }
 
 std::uint32_t
-Rng::nextGeometric(const Geometric &dist)
+Rng::Geometric::inverseCdf(std::uint64_t x) const
 {
-    assert(dist.mean >= 1.0);
-    if (dist.mean == 1.0)
-        return 1;
-    const double u = nextDouble();
+    const double u = static_cast<double>(x) * 0x1.0p-53;
     // Inverse CDF; u == 0 maps to 1.
-    const double v = std::log1p(-u) / dist.logQ;
+    const double v = std::log1p(-u) / logQ;
     double k = std::floor(v) + 1.0;
     if (k < 1.0)
         k = 1.0;

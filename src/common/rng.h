@@ -76,25 +76,62 @@ class Rng
         return nextDouble() < p;
     }
 
-    /** A geometric distribution over {1, 2, ...} with its inverse-CDF
-     * constant computed once, for callers drawing many values at one
-     * mean (see nextGeometric). */
+    /**
+     * A geometric distribution over {1, 2, ...} (mean >= 1), prepared
+     * once for drawing many values at one mean (see nextGeometric).
+     *
+     * A value is a pure function of one 53-bit draw x = next() >> 11: the
+     * inverse CDF k = floor(log1p(-x 2^-53) / log1p(-1/mean)) + 1, clamped
+     * to [1, 4096]. Value k begins at the draw (1 - e^{(k-1) logQ}) 2^53.
+     * The table holds these thresholds, computed in long double, for the
+     * values 2 to kTableMax + 1, and answers the values 1 to kTableMax: a
+     * draw more than kGuard steps from every threshold takes the table's
+     * k with no logarithm. The closed-form thresholds lie a step or two
+     * from the formula's true boundaries (RngTest checks every profile's
+     * mean), so the table never disagrees with it. Any other draw goes
+     * through the formula itself.
+     */
     struct Geometric
     {
         explicit Geometric(double mean);
+
+        /** The value for the 53-bit draw @p x. */
+        std::uint32_t at(std::uint64_t x) const
+        {
+            const auto sx = static_cast<std::int64_t>(x);
+            std::uint32_t k = 1;
+            while (sx > safeHi[k])
+                ++k;
+            return sx >= safeLo[k] ? k : inverseCdf(x);
+        }
+
+        /** The inverse CDF evaluated with the logarithm (any draw). */
+        std::uint32_t inverseCdf(std::uint64_t x) const;
+
+        static constexpr std::uint32_t kTableMax = 64;
+        static constexpr std::int64_t kGuard = std::int64_t{1} << 20;
+
         double mean;
         /** log1p(-1/mean); unused when mean == 1. */
         double logQ;
+        /** Draws in [safeLo[k], safeHi[k]] give k (empty where two
+         * thresholds lie closer than 2 kGuard); entry kTableMax + 1 is a
+         * sentinel that sends every draw past the table to the formula. */
+        std::int64_t safeLo[kTableMax + 2];
+        std::int64_t safeHi[kTableMax + 2];
     };
 
     /**
      * Geometric distribution over {1, 2, ...} with given mean (mean >= 1).
-     * Used for dependency distances and basic-block lengths.
+     * Used for dependency distances and basic-block lengths. Takes one
+     * next() unless the mean is 1.
      */
-    std::uint32_t nextGeometric(const Geometric &dist);
-    std::uint32_t nextGeometric(double mean)
+    std::uint32_t nextGeometric(const Geometric &dist)
     {
-        return nextGeometric(Geometric(mean));
+        assert(dist.mean >= 1.0);
+        if (dist.mean == 1.0)
+            return 1;
+        return dist.at(next() >> 11);
     }
 
     /** Standard normal via Box-Muller (deterministic, no cached spare). */

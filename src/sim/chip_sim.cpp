@@ -202,9 +202,14 @@ ChipSim::stepCores()
             core.tick(now_);
             const Cycle event = core.nextEventCycle(now_);
             if (event > now_ + 1) {
-                wake_[i] = event;
+                // A powered core with no event at all (its threads are out
+                // of work) is not parked: strict ticking keeps counting
+                // its cycles, so it sleeps until a flush replays them.
+                const Cycle wake =
+                    powered ? std::min(event, kCycleNever - 1) : event;
+                wake_[i] = wake;
                 sleepStart_[i] = now_;
-                wakeHeap_.push({event, i});
+                wakeHeap_.push({wake, i});
                 awakeMask_[word] &= ~(std::uint64_t{1} << (i % 64));
             }
         }

@@ -130,8 +130,11 @@ struct RunLimits
  *
  * High-level use: runMultiProgram() for the paper's multi-program
  * methodology. Low-level use (multi-threaded workloads with
- * synchronisation): construct, attach ThreadSources, and tick() under an
- * external controller (see workload/parsec).
+ * synchronisation): construct, attach ThreadSources, and drive the same
+ * `step(); jumpIdleSpan(bound);` loop as run() under an external
+ * controller, calling wakeAllCores() after changing a thread's work
+ * outside attach()/detach() and before collectResult() (see
+ * workload/parsec).
  */
 class ChipSim
 {
@@ -182,6 +185,40 @@ class ChipSim
     /** Advance one global cycle (ticks every non-quiescent core and
      * accumulates power/active-thread accounting). */
     void tick();
+
+    /**
+     * Advance one global cycle in a run loop — the one place the loops
+     * choose between fast-forward and strict stepping. With fast-forward
+     * on, a core that is provably idle until a known future cycle sleeps
+     * instead of ticking (see jumpIdleSpan and wakeAllCores).
+     */
+    void step()
+    {
+        if (fastForward_)
+            stepCores(); // idle cores sleep instead of ticking
+        else
+            tick();
+    }
+
+    /**
+     * If every core is asleep (or dormant), jump now_ to just before the
+     * earliest wake, clamped to @p bound and to the next time-series
+     * sample (now_ never exceeds @p bound). No-op while any core is
+     * awake — so always under strict stepping, where no core sleeps.
+     * Every skipped cycle adds the current attached-thread count to the
+     * active-thread histogram, as a strict tick() would.
+     */
+    void jumpIdleSpan(Cycle bound);
+
+    /**
+     * Settle every sleeping core's deferred accounting and wake it, so
+     * the chip is in the state strict ticking would have left. Run loops
+     * call it on exit; a loop that drives the chip from outside calls it
+     * whenever it changes a thread's work without attach()/detach()
+     * (which flush their core themselves) — otherwise the thread's core
+     * could sleep through the new work — and before collectResult().
+     */
+    void wakeAllCores();
 
     /**
      * Advance @p cycles global cycles event-driven: each core that is
@@ -244,16 +281,6 @@ class ChipSim
     void validatePlacement(const Placement &placement,
                            std::size_t num_threads) const;
 
-    /** Advance one global cycle in the run loops — the one place they
-     * choose between fast-forward and strict stepping. */
-    void step()
-    {
-        if (fastForward_)
-            stepCores(); // idle cores sleep instead of ticking
-        else
-            tick();
-    }
-
     /**
      * Advance one global cycle the event-driven way: tick the awake
      * cores and put newly idle ones to sleep until their next event.
@@ -261,23 +288,11 @@ class ChipSim
      */
     void stepCores();
 
-    /**
-     * If every core is asleep (or dormant), jump now_ to just before the
-     * earliest wake, clamped to @p bound and to the next time-series
-     * sample (now_ never exceeds @p bound). No-op while any core is
-     * awake — so always under strict stepping, where no core sleeps.
-     */
-    void jumpIdleSpan(Cycle bound);
-
     /** Apply core @p i's deferred sleep span (bulk accounting of the
      * provably inert cycles since it last ticked) and wake it. Must run
      * before anything external mutates the core (attach/detach) and
      * before results are read. */
     void flushCore(std::uint32_t i);
-
-    /** flushCore over all cores — run loops call this on exit so the
-     * chip is always in a strict-equivalent state between calls. */
-    void wakeAllCores();
 
     /** Register every chip-level and component metric (ctor helper). */
     void registerChipMetrics();

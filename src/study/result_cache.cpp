@@ -184,9 +184,14 @@ ResultCache::loadFile(const std::string &file_path)
              "; segment treated as missing");
         return;
     }
+    // Most segments of a young cache do not exist yet, and one stat()
+    // says so more cheaply than constructing a failing std::ifstream.
+    struct stat st;
+    if (::stat(file_path.c_str(), &st) != 0)
+        return; // no segment yet
     std::ifstream in(file_path);
     if (!in)
-        return; // no segment yet
+        return; // unreadable: treated as missing too
     std::uint64_t skipped = 0;
     bool strict = false;
     bool first = true;

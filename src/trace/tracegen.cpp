@@ -69,6 +69,13 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
       streamCursor_(profile.regions.size(), 0)
 {
     profile.validate();
+    // Data regions sit one-or-more strides above the code segment (which
+    // occupies the base of the private segment), at jittered offsets.
+    regionBases_.reserve(profile.regions.size());
+    for (std::size_t i = 0; i < profile.regions.size(); ++i) {
+        regionBases_.push_back({jitteredRegionBase(space_.privateBase, i),
+                                jitteredRegionBase(space_.sharedBase, i)});
+    }
     const InstrMix &mix = profile.mix;
     cdfLoad_ = mix.load;
     cdfStore_ = cdfLoad_ + mix.store;
@@ -85,16 +92,6 @@ TraceGenerator::reset()
     std::fill(streamCursor_.begin(), streamCursor_.end(), 0);
     fetchAddr_ = space_.privateBase;
     generated_ = 0;
-}
-
-Addr
-TraceGenerator::regionBase(std::size_t region_idx, bool shared) const
-{
-    // Data regions sit one-or-more strides above the code segment (which
-    // occupies the base of the private segment), at jittered offsets.
-    return jitteredRegionBase(shared ? space_.sharedBase
-                                     : space_.privateBase,
-                              region_idx);
 }
 
 Addr
@@ -125,7 +122,7 @@ TraceGenerator::nextDataAddr()
         const std::uint64_t words = region.bytes / 8;
         const std::uint64_t word = streamCursor_[idx];
         streamCursor_[idx] = (word + 1) % words;
-        return regionBase(idx, shared) + word * 8;
+        return regionBases_[idx][shared] + word * 8;
     }
     // Skewed random reuse: accesses concentrate towards the region's low
     // addresses (the "hot end"), giving the convex miss-rate-vs-capacity
@@ -140,8 +137,8 @@ TraceGenerator::nextDataAddr()
     // Random offset within the line (does not affect cache behaviour but
     // keeps addresses realistic).
     const Addr offset = rng_.nextRange(kLineSize / 8) * 8;
-    return regionBase(idx, shared) + std::min(line, lines - 1) * kLineSize +
-        offset;
+    return regionBases_[idx][shared] +
+        std::min(line, lines - 1) * kLineSize + offset;
 }
 
 void

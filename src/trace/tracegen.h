@@ -7,6 +7,7 @@
 #ifndef SMTFLEX_TRACE_TRACEGEN_H
 #define SMTFLEX_TRACE_TRACEGEN_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -102,7 +103,6 @@ class TraceGenerator
                  std::uint64_t max_region_bytes);
 
   private:
-    Addr regionBase(std::size_t region_idx, bool shared) const;
     Addr nextDataAddr();
 
     const BenchmarkProfile *profile_;
@@ -113,6 +113,9 @@ class TraceGenerator
     Rng rng_;
     /** Dependency distances: geometric with the profile's mean. */
     Rng::Geometric depDist_;
+    /** Per data region: its jittered base in the private segment ([0])
+     * and in the shared segment ([1]). */
+    std::vector<std::array<Addr, 2>> regionBases_;
     /** Per-region streaming cursors (private copy of region walk state). */
     std::vector<std::uint64_t> streamCursor_;
     /** Current fetch address. */

@@ -1,6 +1,7 @@
 #include "core.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/log.h"
@@ -19,6 +20,10 @@ Core::Core(const CoreParams &params, std::uint32_t core_id,
     if (num_contexts == 0 || num_contexts > params_.maxSmtContexts)
         fatal("Core ", params_.name, ": invalid context count ",
               num_contexts, " (max ", params_.maxSmtContexts, ")");
+    if (num_contexts > kMaxContexts)
+        fatal("Core ", params_.name, ": ", num_contexts,
+              " contexts exceed the ", kMaxContexts,
+              "-context occupancy masks");
     if (chip_freq_ghz <= 0.0)
         fatal("Core ", params_.name, ": bad chip frequency");
 
@@ -29,17 +34,17 @@ Core::Core(const CoreParams &params, std::uint32_t core_id,
     const std::uint32_t queue_capacity =
         params_.outOfOrder ? params_.robSize : 16;
     contexts_.resize(num_contexts);
-    for (auto &ctx : contexts_)
-        ctx.rob.resize(queue_capacity);
+    for (std::uint32_t i = 0; i < num_contexts; ++i) {
+        contexts_[i].rob.resize(queue_capacity);
+        contexts_[i].bit = std::uint32_t{1} << i;
+    }
     countActiveContexts();
 }
 
 void
 Core::countActiveContexts()
 {
-    activeContexts_ = 0;
-    for (const auto &ctx : contexts_)
-        activeContexts_ += (ctx.thread != nullptr);
+    activeContexts_ = static_cast<std::uint32_t>(std::popcount(attachedMask_));
     // Static partitioning among the contexts that currently have threads
     // (Raasch & Reinhardt); a lone thread gets the whole window.
     const std::uint32_t share = params_.robSize / std::max(1u, activeContexts_);
@@ -56,6 +61,7 @@ Core::attachThread(std::uint32_t slot, ThreadSource *thread)
     if (!thread)
         fatal("Core ", params_.name, ": attach of null thread");
     contexts_[slot].thread = thread;
+    attachedMask_ |= contexts_[slot].bit;
     countActiveContexts();
 }
 
@@ -67,6 +73,7 @@ Core::detachThread(std::uint32_t slot)
     Context &ctx = contexts_[slot];
     ThreadSource *old = ctx.thread;
     ctx.thread = nullptr;
+    attachedMask_ &= ~ctx.bit;
     // Drop the staged (never dispatched) op; in-flight ops keep retiring to
     // the detached thread through the InFlightOp::thread pointers.
     if (ctx.hasStaged && old)
@@ -83,16 +90,6 @@ Core::threadAt(std::uint32_t slot) const
     if (slot >= contexts_.size())
         fatal("Core ", params_.name, ": bad slot ", slot);
     return contexts_[slot].thread;
-}
-
-bool
-Core::quiescent() const
-{
-    for (const auto &ctx : contexts_) {
-        if (ctx.thread || ctx.robCount > 0)
-            return false;
-    }
-    return true;
 }
 
 void
@@ -144,9 +141,9 @@ Cycle
 Core::earliestHeadCompletion() const
 {
     Cycle earliest = kCycleNever;
-    for (const auto &ctx : contexts_) {
-        if (ctx.robCount > 0)
-            earliest = std::min(earliest, ctx.rob[ctx.robHead].completion);
+    for (std::uint32_t bits = inFlightMask_; bits != 0; bits &= bits - 1) {
+        const Context &ctx = contexts_[std::countr_zero(bits)];
+        earliest = std::min(earliest, ctx.rob[ctx.robHead].completion);
     }
     return earliest;
 }
@@ -176,14 +173,12 @@ std::uint32_t
 Core::retireCycle(std::uint32_t budget)
 {
     std::uint32_t retired = 0;
-    const std::uint32_t n = numContexts();
     // The rotor's own `% n` stays: it wraps at 2^32 and skipTicks()
-    // advances it in bulk.
-    std::uint32_t c = retireRotor_++ % n;
-    for (std::uint32_t k = 0; k < n && retired < budget; ++k) {
-        Context &ctx = contexts_[c];
-        if (++c == n)
-            c = 0;
+    // advances it in bulk. Contexts with nothing in flight are skipped.
+    for (std::uint64_t order =
+             roundRobin(inFlightMask_, retireRotor_++ % numContexts());
+         order != 0 && retired < budget; order &= order - 1) {
+        Context &ctx = contexts_[std::countr_zero(order) % kMaxContexts];
         const auto capacity = static_cast<std::uint32_t>(ctx.rob.size());
         while (retired < budget && ctx.robCount > 0) {
             InFlightOp &head = ctx.rob[ctx.robHead];
@@ -196,6 +191,8 @@ Core::retireCycle(std::uint32_t budget)
             --ctx.robCount;
             ++retired;
         }
+        if (ctx.robCount == 0)
+            inFlightMask_ &= ~ctx.bit;
     }
     stats_.retired += retired;
     return retired;
@@ -214,6 +211,7 @@ Core::pushInFlight(Context &ctx, Cycle completion)
     ctx.rob[tail].completion = completion;
     ctx.rob[tail].thread = ctx.thread;
     ++ctx.robCount;
+    inFlightMask_ |= ctx.bit;
 }
 
 Cycle

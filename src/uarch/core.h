@@ -108,7 +108,7 @@ class Core : public telemetry::StatsProvider<CoreStats>
     std::uint32_t activeContexts() const { return activeContexts_; }
 
     /** True when no thread is attached and no op is in flight. */
-    bool quiescent() const;
+    bool quiescent() const { return (attachedMask_ | inFlightMask_) == 0; }
 
     /** Advance the core by one global cycle. */
     void tick(Cycle global_now);
@@ -202,7 +202,27 @@ class Core : public telemetry::StatsProvider<CoreStats>
         std::vector<InFlightOp> rob;
         std::uint32_t robHead = 0;
         std::uint32_t robCount = 0;
+
+        /** This context's bit in the occupancy masks (1 << slot). */
+        std::uint32_t bit = 0;
     };
+
+    /** Largest context count the 32-bit occupancy masks can hold. */
+    static constexpr std::uint32_t kMaxContexts = 32;
+
+    /**
+     * The set bits of @p mask in round-robin order from bit @p first:
+     * first, first + 1, ..., then the bits below first. Pop them lowest
+     * first (std::countr_zero, then clear); bit b stands for context
+     * b % 32. Visiting only occupied contexts in this order is the full
+     * scan from @p first with the empty contexts left out.
+     */
+    static std::uint64_t roundRobin(std::uint32_t mask, std::uint32_t first)
+    {
+        const std::uint32_t below =
+            mask & ((std::uint32_t{1} << first) - 1);
+        return (mask ^ below) | (std::uint64_t{below} << kMaxContexts);
+    }
 
     /** Advance the model by one core cycle (coreNow_ already updated). */
     virtual void coreCycle() = 0;
@@ -266,6 +286,14 @@ class Core : public telemetry::StatsProvider<CoreStats>
     /** Round-robin rotors. */
     std::uint32_t fetchRotor_ = 0;
     std::uint32_t retireRotor_ = 0;
+
+    /** Contexts with a thread attached (kept by attach and detach). A
+     * staged op implies an attached thread, so these are the contexts
+     * dispatch visits; the others are skipped by every scan. */
+    std::uint32_t attachedMask_ = 0;
+    /** Contexts with ops in flight: set by pushInFlight, cleared when
+     * retireCycle drains a context's queue. */
+    std::uint32_t inFlightMask_ = 0;
 
   private:
     /** Recount the attached threads after a context's thread changed. */

@@ -1,6 +1,7 @@
 #include "inorder_core.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace smtflex {
 
@@ -15,9 +16,10 @@ Cycle
 InOrderCore::nextEventCycle(Cycle global_now)
 {
     Cycle event = earliestHeadCompletion(); // core cycles
-    for (auto &ctx : contexts_) {
-        if (!ctx.thread && !ctx.hasStaged)
-            continue; // retirement only, covered by the head completion
+    // Contexts without a thread only retire, which the head completion
+    // covers.
+    for (std::uint32_t bits = attachedMask_; bits != 0; bits &= bits - 1) {
+        const Context &ctx = contexts_[std::countr_zero(bits)];
         if (ctx.stallUntil > coreNow_) {
             // Sleeping on a RAW hazard, an off-core miss, an I-miss or a
             // flush: the barrel scheduler passes this context over without
@@ -27,7 +29,7 @@ InOrderCore::nextEventCycle(Cycle global_now)
         }
         if (ctx.robCount >= ctx.rob.size())
             continue; // pipeline buffer full: drains at head completion
-        if (ctx.hasStaged || (ctx.thread && ctx.thread->hasWork()))
+        if (ctx.hasStaged || ctx.thread->hasWork())
             return global_now + 1; // may win the issue slot next cycle
         // Attached but out of work: only retirement remains.
     }
@@ -172,16 +174,12 @@ InOrderCore::coreCycle()
 {
     retireCycle(params_.width);
 
-    // Barrel scheduling: rotate every cycle; the first ready context wins
-    // the whole issue group this cycle.
-    const std::uint32_t n = numContexts();
-    std::uint32_t c = fetchRotor_++ % n;
-    for (std::uint32_t k = 0; k < n; ++k) {
-        Context &ctx = contexts_[c];
-        if (++c == n)
-            c = 0;
-        if (!ctx.thread && !ctx.hasStaged)
-            continue;
+    // Barrel scheduling: rotate every cycle; the first ready context with
+    // a thread attached wins the whole issue group this cycle.
+    for (std::uint64_t order =
+             roundRobin(attachedMask_, fetchRotor_++ % numContexts());
+         order != 0; order &= order - 1) {
+        Context &ctx = contexts_[std::countr_zero(order) % kMaxContexts];
         if (ctx.stallUntil > coreNow_)
             continue;
         if (issueFrom(ctx) > 0) {

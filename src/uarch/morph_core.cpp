@@ -172,10 +172,7 @@ MorphCore::coreCycle()
     // reconfiguration penalty.
     const bool want_ooo = activeContexts() <= morph_.oooThreadLimit;
     if (want_ooo != oooMode_) {
-        bool in_flight = false;
-        for (const auto &ctx : contexts_)
-            in_flight |= ctx.robCount > 0;
-        if (!in_flight) {
+        if (inFlightMask_ == 0) {
             oooMode_ = want_ooo;
             ++modeSwitches_;
             stallUntilSwitch_ = coreNow_ + morph_.switchPenalty;

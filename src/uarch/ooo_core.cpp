@@ -1,8 +1,7 @@
 #include "ooo_core.h"
 
 #include <algorithm>
-
-#include "common/log.h"
+#include <bit>
 
 namespace smtflex {
 
@@ -11,11 +10,6 @@ OooCore::OooCore(const CoreParams &params, std::uint32_t core_id,
                  double chip_freq_ghz)
     : Core(params, core_id, num_contexts, shared, chip_freq_ghz)
 {
-    // coreCycle() arbitrates fetch through a fixed order[16] array; a
-    // wider configuration must fail here, loudly, not corrupt the stack.
-    if (numContexts() > 16)
-        fatal("OooCore ", params_.name, ": ", numContexts(),
-              " contexts exceed the 16-context fetch-arbitration limit");
 }
 
 Cycle
@@ -27,9 +21,10 @@ OooCore::nextEventCycle(Cycle global_now)
     Cycle event = earliestHeadCompletion(); // core cycles
     std::uint64_t rob_stalled = 0;
     std::uint64_t mshr_stalled = 0;
-    for (auto &ctx : contexts_) {
-        if (!ctx.thread && !ctx.hasStaged)
-            continue; // retirement only, covered by the head completion
+    // Contexts without a thread only retire, which the head completion
+    // covers.
+    for (std::uint32_t bits = attachedMask_; bits != 0; bits &= bits - 1) {
+        Context &ctx = contexts_[std::countr_zero(bits)];
         if (ctx.frontStallUntil > coreNow_) {
             // Redirect or I-miss in progress: dispatchFrom returns before
             // touching any state until the stall expires.
@@ -43,7 +38,7 @@ OooCore::nextEventCycle(Cycle global_now)
             continue;
         }
         if (!ctx.hasStaged) {
-            if (ctx.thread && ctx.thread->hasWork())
+            if (ctx.thread->hasWork())
                 return global_now + 1; // stages and dispatches next cycle
             continue; // out of work: only retirement remains
         }
@@ -229,41 +224,36 @@ OooCore::coreCycle()
     resetFuBudgets();
     std::uint32_t budget = params_.width;
     const std::uint32_t n = numContexts();
-
-    // Fetch arbitration: visit order of the SMT contexts this cycle.
-    std::uint32_t order[16];
+    bool dispatched_any = false;
+    // Fetch arbitration over the contexts with a thread attached; the
+    // others would be passed over.
+    const auto dispatch = [&](std::uint32_t i) {
+        const std::uint32_t before = budget;
+        dispatchFrom(contexts_[i], budget);
+        dispatched_any |= (budget != before);
+    };
     if (params_.fetchPolicy == FetchPolicy::kIcount && n > 1) {
         // ICOUNT: fewest in-flight ops first (stable by index).
-        for (std::uint32_t i = 0; i < n; ++i)
-            order[i] = i;
-        for (std::uint32_t i = 1; i < n; ++i) {
-            const std::uint32_t v = order[i];
-            std::uint32_t j = i;
+        std::uint32_t order[kMaxContexts];
+        std::uint32_t m = 0;
+        for (std::uint32_t bits = attachedMask_; bits != 0;
+             bits &= bits - 1) {
+            const auto v = static_cast<std::uint32_t>(std::countr_zero(bits));
+            std::uint32_t j = m++;
             while (j > 0 &&
-                   contexts_[order[j - 1]].robCount >
-                       contexts_[v].robCount) {
+                   contexts_[order[j - 1]].robCount > contexts_[v].robCount) {
                 order[j] = order[j - 1];
                 --j;
             }
             order[j] = v;
         }
+        for (std::uint32_t k = 0; k < m && budget > 0; ++k)
+            dispatch(order[k]);
     } else {
-        std::uint32_t c = fetchRotor_++ % n;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            order[i] = c;
-            if (++c == n)
-                c = 0;
-        }
-    }
-
-    bool dispatched_any = false;
-    for (std::uint32_t k = 0; k < n && budget > 0; ++k) {
-        Context &ctx = contexts_[order[k]];
-        if (!ctx.thread && !ctx.hasStaged)
-            continue;
-        const std::uint32_t before = budget;
-        dispatchFrom(ctx, budget);
-        dispatched_any |= (budget != before);
+        for (std::uint64_t order =
+                 roundRobin(attachedMask_, fetchRotor_++ % n);
+             order != 0 && budget > 0; order &= order - 1)
+            dispatch(std::countr_zero(order) % kMaxContexts);
     }
     stats_.busyCycles += dispatched_any;
 }

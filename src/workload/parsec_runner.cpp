@@ -365,13 +365,21 @@ ParsecRunner::run(Cycle max_cycles)
     threads_[0]->startSegment(std::max<InstrCount>(app_->seqInitInstr, 1),
                               true);
 
+    // The run loop of ChipSim::run(): idle cores sleep and, when all do,
+    // time jumps to the earliest wake. Threads change state only at the
+    // poll after a step — no op retires inside a jumped span — so every
+    // skipped cycle would have polled nothing and counts towards the ROI
+    // histogram with the state the last poll left.
+    const auto in_roi = [this] {
+        return appState_ == AppState::kRoi ||
+            appState_ == AppState::kInterPhaseSerial;
+    };
     while (appState_ != AppState::kDone && chip_->now() < max_cycles) {
-        chip_->tick();
-        if (appState_ == AppState::kRoi ||
-            appState_ == AppState::kInterPhaseSerial) {
+        chip_->step();
+        if (in_roi())
             roiHistogram_.add(chip_->attachedThreads(), 1.0);
-        }
         // Poll for completed segments (cheap: two integer compares each).
+        bool changed = false;
         for (std::uint32_t t = 0; t < numThreads_; ++t) {
             if (attached_[t] &&
                 (state_[t] == ThreadState::kRunning ||
@@ -381,9 +389,25 @@ ParsecRunner::run(Cycle max_cycles)
                  appState_ == AppState::kFinal) &&
                 threads_[t]->segmentDone()) {
                 handleSegmentDone(t);
+                changed = true;
             }
         }
+        if (changed) {
+            // A still-attached thread may have been given a new segment
+            // without an attach, so its core may be asleep with no event.
+            // No jump either: the run may just have ended (only a poll
+            // ends it), and the strict loop stops at this very cycle.
+            chip_->wakeAllCores();
+            continue;
+        }
+        const Cycle before = chip_->now();
+        chip_->jumpIdleSpan(max_cycles);
+        if (in_roi() && chip_->now() != before) {
+            roiHistogram_.add(chip_->attachedThreads(),
+                              static_cast<double>(chip_->now() - before));
+        }
     }
+    chip_->wakeAllCores();
 
     ParsecRunResult result;
     result.completed = appState_ == AppState::kDone;
@@ -391,6 +415,7 @@ ParsecRunner::run(Cycle max_cycles)
         warn("ParsecRunner ", app_->name, " on ", config_.name,
              ": hit cycle limit");
     result.sim = chip_->collectResult();
+    result.fastForwardedCycles = chip_->fastForwardedCycles();
     result.roiStartCycle = roiStart_;
     result.roiEndCycle = roiEnd_;
     result.totalCycles = chip_->now();

@@ -34,6 +34,9 @@ struct ParsecRunResult
     bool completed = false;
     /** Fraction of ROI time with k threads attached (paper Fig. 1). */
     std::vector<double> roiActiveThreadFractions;
+    /** Per-core global cycles the fast-forward elided, summed over cores
+     * (diagnostics; 0 under strict stepping). */
+    Cycle fastForwardedCycles = 0;
 
     Cycle roiCycles() const { return roiEndCycle - roiStartCycle; }
 };

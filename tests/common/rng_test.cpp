@@ -8,10 +8,10 @@
 #include <bit>
 #include <cmath>
 #include <set>
-#include <vector>
 
 #include "common/rng.h"
 #include "trace/spec_profiles.h"
+#include "workload/parsec.h"
 
 namespace smtflex {
 namespace {
@@ -117,10 +117,11 @@ TEST(RngTest, GeometricMeanMatches)
 {
     Rng rng(17);
     for (double mean : {1.0, 2.0, 3.5, 8.0}) {
+        const Rng::Geometric dist(mean);
         double sum = 0.0;
         const int n = 50000;
         for (int i = 0; i < n; ++i)
-            sum += rng.nextGeometric(mean);
+            sum += rng.nextGeometric(dist);
         EXPECT_NEAR(sum / n, mean, mean * 0.05) << "mean=" << mean;
     }
 }
@@ -128,19 +129,18 @@ TEST(RngTest, GeometricMeanMatches)
 TEST(RngTest, GeometricMinimumIsOne)
 {
     Rng rng(19);
+    const Rng::Geometric dist(4.0);
     for (int i = 0; i < 10000; ++i)
-        EXPECT_GE(rng.nextGeometric(4.0), 1u);
+        EXPECT_GE(rng.nextGeometric(dist), 1u);
 }
 
-/** nextGeometric as it was before the constant was hoisted: both
- * log1p calls on every draw. */
+/** The geometric value of the 53-bit draw @p x as nextGeometric computed
+ * it before the constant was hoisted: both log1p calls on every draw. */
 std::uint32_t
-perCallGeometric(Rng &rng, double mean)
+perCallGeometricAt(std::uint64_t x, double mean)
 {
-    if (mean == 1.0)
-        return 1;
     const double p = 1.0 / mean;
-    const double u = rng.nextDouble();
+    const double u = static_cast<double>(x) * 0x1.0p-53;
     const double v = std::log1p(-u) / std::log1p(-p);
     double k = std::floor(v) + 1.0;
     if (k < 1.0)
@@ -150,12 +150,40 @@ perCallGeometric(Rng &rng, double mean)
     return static_cast<std::uint32_t>(k);
 }
 
+std::uint32_t
+perCallGeometric(Rng &rng, double mean)
+{
+    if (mean == 1.0)
+        return 1;
+    return perCallGeometricAt(rng.next() >> 11, mean);
+}
+
+/** Every mean the trace generators draw dependency distances at: each
+ * SPEC profile and each PARSEC worker and serial kernel, plus 1. */
+std::set<double>
+profileMeans()
+{
+    std::set<double> means = {1.0};
+    for (const BenchmarkProfile *profile : specAllProfiles())
+        means.insert(profile->meanDepDist);
+    for (const ParsecProfile *app : parsecProfiles()) {
+        means.insert(app->kernel.meanDepDist);
+        means.insert(app->serialKernel.meanDepDist);
+    }
+    return means;
+}
+
 TEST(RngTest, HoistedGeometricEqualsPerCallForm)
 {
-    std::vector<double> means = {1.0};
-    for (const BenchmarkProfile *profile : specAllProfiles())
-        means.push_back(profile->meanDepDist);
-    for (const double mean : means) {
+    // The threshold table must give exactly the log1p formula's values:
+    // on a million random draws per mean, at the edges of every span the
+    // table answers, and densely around every threshold out to twice the
+    // guard distance.
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    constexpr std::int64_t kReach = 2 * Rng::Geometric::kGuard;
+    constexpr std::int64_t kDense = 256; // every draw this close
+    constexpr std::int64_t kStride = 512; // beyond, one draw per stride
+    for (const double mean : profileMeans()) {
         const Rng::Geometric dist(mean);
         if (mean != 1.0) {
             EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.logQ),
@@ -165,13 +193,47 @@ TEST(RngTest, HoistedGeometricEqualsPerCallForm)
         }
         Rng hoisted(37), per_call(37);
         int mismatches = 0;
-        for (int i = 0; i < 100'000; ++i) {
+        for (int i = 0; i < 1'000'000; ++i) {
             mismatches +=
                 hoisted.nextGeometric(dist) != perCallGeometric(per_call, mean);
         }
         EXPECT_EQ(mismatches, 0) << "mean=" << mean;
         // Both consumed the same number of draws.
         EXPECT_EQ(hoisted.next(), per_call.next()) << "mean=" << mean;
+        if (mean == 1.0)
+            continue; // no draw, no table
+
+        std::uint64_t checked = 0;
+        const auto check = [&](std::int64_t x) {
+            if (x < 0 || static_cast<std::uint64_t>(x) >= kDraws)
+                return;
+            const auto ux = static_cast<std::uint64_t>(x);
+            ++checked;
+            mismatches += dist.at(ux) != perCallGeometricAt(ux, mean);
+        };
+        for (std::uint32_t k = 1; k <= Rng::Geometric::kTableMax; ++k) {
+            // The edges of the span the table answers for k.
+            for (const std::int64_t x :
+                 {dist.safeLo[k], dist.safeLo[k] + 1, dist.safeHi[k] - 1,
+                  dist.safeHi[k]}) {
+                check(x);
+            }
+            // The draw at which k + 1 begins, and its neighbourhood.
+            const long double t =
+                (1.0L - std::exp(static_cast<long double>(k) * dist.logQ)) *
+                0x1.0p53L;
+            const auto threshold = static_cast<std::int64_t>(std::floor(t));
+            if (static_cast<std::uint64_t>(threshold) >= kDraws)
+                continue;
+            for (std::int64_t d = -kDense; d <= kDense; ++d)
+                check(threshold + d);
+            for (std::int64_t d = kDense + kStride; d <= kReach; d += kStride) {
+                check(threshold - d);
+                check(threshold + d);
+            }
+        }
+        EXPECT_EQ(mismatches, 0) << "mean=" << mean;
+        EXPECT_GT(checked, 0u) << "mean=" << mean;
     }
 }
 

@@ -192,6 +192,33 @@ TEST(ChipSimFastFwdTest, RunMatchesTickExactly)
     EXPECT_GT(fast_chip.fastForwardSpans(), std::uint64_t{0});
 }
 
+TEST(ChipSimFastFwdTest, RunOutOfWorkMatchesTickExactly)
+{
+    // A thread whose work runs out stays attached: its core is powered,
+    // has nothing in flight and no event ever, yet strict ticking keeps
+    // counting its cycles. The sleep must replay them at the flush.
+    const ChipConfig cfg =
+        ChipConfig::homogeneous("2s", CoreParams::small(), 2);
+    SimThread strict_thread(specProfile("hmmer"), 7, 0, 1'000, false);
+    SimThread fast_thread(specProfile("hmmer"), 7, 0, 1'000, false);
+    ChipSim strict_chip(cfg);
+    strict_chip.setFastForward(false);
+    strict_chip.attach(0, 0, &strict_thread);
+    ChipSim fast_chip(cfg);
+    fast_chip.setFastForward(true);
+    fast_chip.attach(0, 0, &fast_thread);
+
+    constexpr Cycle kCycles = 50'000;
+    for (Cycle c = 0; c < kCycles; ++c)
+        strict_chip.tick();
+    fast_chip.run(kCycles);
+
+    ASSERT_TRUE(strict_thread.finished());
+    EXPECT_EQ(strict_chip.now(), fast_chip.now());
+    expectIdentical(strict_chip.collectResult(), fast_chip.collectResult());
+    EXPECT_GT(fast_chip.fastForwardedCycles(), Cycle{0});
+}
+
 TEST(ChipSimFastFwdTest, EnvFlagDisablesFastForward)
 {
     const ChipConfig cfg =

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "tests/uarch/test_helpers.h"
@@ -341,6 +343,83 @@ TEST(OooCoreTest, ContextCountValidation)
     FixedLatencyMemory mem;
     EXPECT_THROW(OooCore(CoreParams::big(), 0, 7, &mem, 2.66), FatalError);
     EXPECT_THROW(OooCore(CoreParams::big(), 0, 0, &mem, 2.66), FatalError);
+    // The occupancy masks hold 32 contexts, whatever the parameters allow.
+    CoreParams wide = CoreParams::big();
+    wide.maxSmtContexts = 33;
+    EXPECT_NO_THROW(OooCore(wide, 0, 32, &mem, 2.66));
+    EXPECT_THROW(OooCore(wide, 0, 33, &mem, 2.66), FatalError);
+}
+
+namespace {
+
+/** Endless stream of one op class that logs each fetch as "f<id>" and
+ * each retirement as "r<id>" into a shared per-cycle log. */
+class RecordingThread : public ThreadSource
+{
+  public:
+    RecordingThread(char id, OpClass cls, std::string &log)
+        : id_(id), cls_(cls), log_(log)
+    {
+    }
+
+    MicroOp nextOp() override
+    {
+        log_ += {' ', 'f', id_};
+        MicroOp op;
+        op.cls = cls_;
+        return op;
+    }
+    bool hasWork() override { return true; }
+    void onRetire(Cycle) override { log_ += {' ', 'r', id_}; }
+
+  private:
+    char id_;
+    OpClass cls_;
+    std::string &log_;
+};
+
+} // namespace
+
+TEST(OooCoreTest, SparseContextsKeepTheSixSlotRotorOrder)
+{
+    // Threads on slots 1 and 4 of a six-context big core: the fetch and
+    // retire rotors step over all six slots, so slot 1 goes first while
+    // a rotor sits at 5, 0 or 1 and slot 4 while it sits at 2, 3 or 4.
+    // Slot 1 issues FP ops (one FP unit, 4 cycles) and slot 4 ALU ops
+    // (three int units, 1 cycle), so both fetch and retire every cycle.
+    // Slot 1 is detached after cycle 6 with ops in flight: they keep
+    // retiring to it, in the same rotor order. The expected log is what
+    // a scan of all six slots gives.
+    FixedLatencyMemory mem;
+    OooCore core(CoreParams::big(), 0, 6, &mem, 2.66);
+    std::string log;
+    RecordingThread a('A', OpClass::kFpOp, log);
+    RecordingThread b('B', OpClass::kIntAlu, log);
+    core.attachThread(1, &a);
+    core.attachThread(4, &b);
+    std::vector<std::string> cycles;
+    for (Cycle c = 1; c <= 12; ++c) {
+        if (c == 7)
+            core.detachThread(1);
+        log.clear();
+        core.tick(c);
+        cycles.push_back(log);
+    }
+    const std::vector<std::string> expected = {
+        " fA fA fB fB fB",            // fetch rotor 0: slot 1 first
+        " fA fB fB fB",               // 1: slot 1 first
+        " rB rB rB fB fB fB fB",      // 2: slot 4 first
+        " rB rB rB fB fB fB fA",      // 3: slot 4 first
+        " rB rB rB fB fB fB fA",      // 4: slot 4 first
+        " rA rB rB rB fA fA fB fB",   // 5: slot 1 first
+        " rA rB rB rB fB fB fB fB",   // slot 1 detached; retire rotor 0
+        " rA rB rB rB fB fB fB",      // retire rotor 1: slot 1 first
+        " rB rB rB rA fB fB fB",      // 2: slot 4 first
+        " rB rB rB rA fB fB fB",      // 3
+        " rB rB rB rA fB fB fB",      // 4
+        " rB rB rB fB fB fB",         // slot 1 drained
+    };
+    EXPECT_EQ(cycles, expected);
 }
 
 } // namespace
