@@ -143,13 +143,6 @@ class SetAssocCache : public telemetry::StatsProvider<CacheStats>
     const CacheGeometry &geometry() const { return geometry_; }
     const std::string &name() const { return name_; }
 
-    /** Register this cache's counters under @p prefix (e.g. "llc"). */
-    void registerMetrics(telemetry::MetricRegistry &registry,
-                         const std::string &prefix) const
-    {
-        telemetry::attachCounters(registry, prefix, stats_);
-    }
-
   private:
     struct Line
     {

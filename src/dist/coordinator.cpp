@@ -336,24 +336,7 @@ Coordinator::forward(const serve::Request &request)
     // No backend could answer: compute locally (same renderers, same
     // output bytes).
     stats_.forwardLocal.fetch_add(1);
-    StudyEngine &engine = server_.engine();
-    if (request.op == serve::Op::kRun) {
-        serve::Json body = serve::makeResponse(serve::Op::kRun);
-        body.set("output",
-                 serve::Json::string(serve::runText(engine, request.run)));
-        return body;
-    }
-    if (request.op == serve::Op::kSchedule) {
-        serve::Json body = serve::makeResponse(serve::Op::kSchedule);
-        body.set("output",
-                 serve::Json::string(
-                     serve::scheduleText(engine, request.schedule)));
-        return body;
-    }
-    serve::Json body = serve::makeResponse(serve::Op::kIsolated);
-    body.set("output", serve::Json::string(
-                           serve::isolatedText(engine, request.isolated)));
-    return body;
+    return serve::answerLocally(server_.engine(), request);
 }
 
 } // namespace dist

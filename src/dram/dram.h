@@ -79,13 +79,6 @@ class DramModel : public telemetry::StatsProvider<DramStats>
 
     const DramConfig &config() const { return config_; }
 
-    /** Register this model's counters under @p prefix (e.g. "dram"). */
-    void registerMetrics(telemetry::MetricRegistry &registry,
-                         const std::string &prefix) const
-    {
-        telemetry::attachCounters(registry, prefix, stats_);
-    }
-
     /** Observed bus utilisation over @p elapsed cycles (0..1). */
     double busUtilisation(Cycle elapsed) const;
 

@@ -72,15 +72,15 @@ OnlineProfiler::sampleUncached(const BenchmarkProfile &profile,
 
     TypeSample sample;
     sample.ipc = result.threads[0].ipc();
-    const double retired = result.metrics.numeric("core.0.retired");
+    const double retired =
+        static_cast<double>(result.cores[0].stats.retired);
     if (retired > 0.0) {
-        sample.l2Mpki =
-            1000.0 * result.metrics.numeric("core.0.l2.misses") / retired;
+        sample.l2Mpki = 1000.0 *
+            static_cast<double>(result.cores[0].l2.misses) / retired;
         sample.llcMpki =
-            1000.0 * result.metrics.numeric("llc.misses") / retired;
+            1000.0 * static_cast<double>(result.llc.misses) / retired;
     }
-    if (const auto *series = chip.metrics().findSeries("chip.ipc"))
-        sample.quanta = series->size();
+    sample.quanta = chip.ipcSeries()->size();
     return sample;
 }
 

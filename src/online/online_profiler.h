@@ -4,11 +4,12 @@
  * §14). Each distinct benchmark of a workload runs a short solo sample
  * quantum on each relevant core type inside ChipSim::runMultiProgram with
  * interval telemetry sampling on; IPC and miss counters are read from the
- * chip's MetricRegistry at quantum boundaries. Fast-forward jumps already
- * clamp to sample boundaries, so sampled runs are bit-identical strict vs
- * fast-forward — and bit-identical to the unsampled runs the offline
- * oracle's table is built from, which is what makes a converged profile
- * reproduce the oracle's placement exactly (the golden test).
+ * run's SimResult, and the chip's IPC series counts the sampled quanta.
+ * Fast-forward jumps already clamp to sample boundaries, so sampled runs
+ * are bit-identical strict vs fast-forward — and bit-identical to the
+ * unsampled runs the offline oracle's table is built from, which is what
+ * makes a converged profile reproduce the oracle's placement exactly (the
+ * golden test).
  *
  * Samples are memoised per (benchmark, core type) within a profiler, and
  * distinct samples fan out over the smtflex::exec pool with deterministic

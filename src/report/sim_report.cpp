@@ -9,19 +9,6 @@ namespace smtflex {
 
 namespace {
 
-/**
- * The readings to render: a ChipSim-collected result carries its registry
- * snapshot; hand-built results get the identical snapshot rebuilt from
- * their structs. Either way the report below reads metric paths, not
- * struct members.
- */
-telemetry::Snapshot
-resultMetrics(const SimResult &result)
-{
-    return result.metrics.empty() ? rebuildResultMetrics(result)
-                                  : result.metrics;
-}
-
 /** missRate()/avg-latency idiom over snapshot counters: num/den as a
  * double, 0 when the denominator is 0 (same expression the stats structs
  * used, so the doubles are bit-identical). */

@@ -1,7 +1,9 @@
 #include "protocol.h"
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "common/env.h"
 #include "common/log.h"
@@ -372,6 +374,51 @@ makeError(const std::string &code, const std::string &message)
     if (!message.empty())
         doc.set("message", Json::string(message));
     return doc;
+}
+
+Json
+answerLocally(StudyEngine &engine, const Request &request)
+{
+    Json body = makeResponse(request.op);
+    switch (request.op) {
+      case Op::kPing:
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(request.delayMs));
+        body.set("pong", Json::boolean(true));
+        return body;
+      case Op::kRun:
+        body.set("output", Json::string(runText(engine, request.run)));
+        return body;
+      case Op::kSweep:
+        body.set("output", Json::string(sweepText(engine, request.sweep)));
+        return body;
+      case Op::kIsolated:
+        body.set("output",
+                 Json::string(isolatedText(engine, request.isolated)));
+        return body;
+      case Op::kSchedule:
+        body.set("output",
+                 Json::string(scheduleText(engine, request.schedule)));
+        return body;
+      case Op::kSweepChunk: {
+        Json records = Json::object();
+        for (const auto &[key, values] : sweepChunkRecords(
+                 engine, request.chunk.sweep, request.chunk.rows)) {
+            Json list = Json::array();
+            for (const double v : values)
+                list.push(Json::number(v));
+            records.set(key, std::move(list));
+        }
+        body.set("records", std::move(records));
+        return body;
+      }
+      case Op::kStats:
+      case Op::kMetrics:
+      case Op::kCachePull:
+      case Op::kCachePush:
+        break;
+    }
+    fatal("serve: op ", opName(request.op), " is answered inline");
 }
 
 } // namespace serve

@@ -196,6 +196,15 @@ Json makeResponse(Op op);
 /** Build an error reply body: {"ok":false,"error":code,"message":msg}. */
 Json makeError(const std::string &code, const std::string &message);
 
+/**
+ * The response body of @p request computed in this process with
+ * @p engine: the ops a worker answers (ping after its delay, run, sweep,
+ * isolated, schedule, sweep_chunk). fatal() for the ops the I/O thread
+ * answers inline (stats, metrics, cache_pull, cache_push). Server workers
+ * and the dist coordinator's local fallback both answer through it.
+ */
+Json answerLocally(StudyEngine &engine, const Request &request);
+
 } // namespace serve
 } // namespace smtflex
 

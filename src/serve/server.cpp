@@ -447,9 +447,7 @@ Server::processPayload(Connection &conn, const std::string &payload)
         return;
     }
     if (request.op == Op::kPing && request.delayMs == 0) {
-        Json body = makeResponse(Op::kPing);
-        body.set("pong", Json::boolean(true));
-        sendBody(conn, body, request.id);
+        sendBody(conn, answerLocally(engine_, request), request.id);
         return;
     }
     // The federation ops read/write the thread-safe ResultCache directly
@@ -753,87 +751,21 @@ Server::executeJob(const Job &job)
         return completion;
     }
     try {
-        Json body;
+        const Op op = job.request.op;
+        // Coordinator mode: the dist layer answers the simulation ops
+        // (sharding them across backends) while this server keeps owning
+        // the wire, admission and memoisation.
         const bool delegated = options_.simExecutor &&
-            (job.request.op == Op::kRun || job.request.op == Op::kSweep ||
-             job.request.op == Op::kIsolated ||
-             job.request.op == Op::kSchedule);
-        if (delegated) {
-            // Coordinator mode: the dist layer answers the simulation
-            // ops (sharding them across backends) while this server
-            // keeps owning the wire, admission and memoisation.
-            body = options_.simExecutor(job.request);
-            completion.cacheable = true;
-        } else {
-            switch (job.request.op) {
-              case Op::kPing:
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(job.request.delayMs));
-                body = makeResponse(Op::kPing);
-                body.set("pong", Json::boolean(true));
-                break;
-              case Op::kRun:
-                body = makeResponse(Op::kRun);
-                body.set("output",
-                         Json::string(runText(engine_, job.request.run)));
-                completion.cacheable = true;
-                break;
-              case Op::kSweep:
-                body = makeResponse(Op::kSweep);
-                body.set("output",
-                         Json::string(
-                             sweepText(engine_, job.request.sweep)));
-                completion.cacheable = true;
-                break;
-              case Op::kIsolated:
-                body = makeResponse(Op::kIsolated);
-                body.set("output",
-                         Json::string(
-                             isolatedText(engine_, job.request.isolated)));
-                completion.cacheable = true;
-                break;
-              case Op::kSchedule:
-                body = makeResponse(Op::kSchedule);
-                body.set("output",
-                         Json::string(
-                             scheduleText(engine_, job.request.schedule)));
-                completion.cacheable = true;
-                break;
-              case Op::kSweepChunk: {
-                body = makeResponse(Op::kSweepChunk);
-                Json records = Json::object();
-                for (const auto &[key, values] :
-                     sweepChunkRecords(engine_, job.request.chunk.sweep,
-                                       job.request.chunk.rows)) {
-                    Json list = Json::array();
-                    for (const double v : values)
-                        list.push(Json::number(v));
-                    records.set(key, std::move(list));
-                }
-                body.set("records", std::move(records));
-                completion.cacheable = true;
-                break;
-              }
-              case Op::kStats:
-                body = statsBody(); // unreachable: stats is inline
-                break;
-              case Op::kMetrics:
-                body = metricsBody(); // unreachable: metrics is inline
-                break;
-              case Op::kCachePull:
-              case Op::kCachePush:
-                // Unreachable: the federation ops are answered inline.
-                body = makeError("internal", "federation op in worker");
-                break;
-            }
-        }
+            (op == Op::kRun || op == Op::kSweep || op == Op::kIsolated ||
+             op == Op::kSchedule);
+        const Json body = delegated ? options_.simExecutor(job.request)
+                                    : answerLocally(engine_, job.request);
         stats_.executed.fetch_add(1);
         completion.body = body.dump();
+        completion.cacheable = op != Op::kPing;
     } catch (const FatalError &e) {
-        completion.cacheable = false;
         completion.body = makeError("failed", e.what()).dump();
     } catch (const std::exception &e) {
-        completion.cacheable = false;
         completion.body = makeError("internal", e.what()).dump();
     }
     return completion;

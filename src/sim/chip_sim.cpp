@@ -37,30 +37,6 @@ ChipSim::ChipSim(const ChipConfig &config)
     for (std::uint32_t i = 0; i < config_.numCores(); ++i)
         awakeMask_[i / 64] |= std::uint64_t{1} << (i % 64);
     fastForward_ = !envFlag("SMTFLEX_NO_FASTFWD", false);
-    registerChipMetrics();
-}
-
-void
-ChipSim::registerChipMetrics()
-{
-    // Everything the registry views lives in members assigned exactly once
-    // above (cores_ holds stable unique_ptrs; poweredCycles_ never
-    // reallocates), so the pointers stay valid for the chip's lifetime.
-    registry_.info("chip.config", [this] { return config_.name; });
-    registry_.counter("chip.cycles", &now_);
-    registry_.gaugeReal("chip.freq_ghz",
-                        [this] { return config_.chipFreqGHz; });
-    registry_.gaugeBool("chip.hit_cycle_limit",
-                        [this] { return hitCycleLimit_; });
-    telemetry::attachHistogram(
-        registry_, "chip.active_threads", activeHistogram_.numBuckets(),
-        [this](std::size_t k) { return activeHistogram_.fraction(k); });
-    for (std::uint32_t i = 0; i < cores_.size(); ++i) {
-        const std::string prefix = "core." + std::to_string(i);
-        cores_[i]->registerMetrics(registry_, prefix);
-        registry_.counter(prefix + ".powered_cycles", &poweredCycles_[i]);
-    }
-    shared_.registerMetrics(registry_);
 }
 
 void
@@ -75,8 +51,8 @@ ChipSim::enableSampling(Cycle interval, std::size_t max_points)
     for (const auto &core : cores_)
         retired += core->stats().retired;
     lastSampleRetired_ = retired;
-    ipcSeries_ = &registry_.series("chip.ipc", max_points);
-    activeSeries_ = &registry_.series("chip.active_threads", max_points);
+    ipcSeries_ = std::make_unique<telemetry::Series>(max_points);
+    activeSeries_ = std::make_unique<telemetry::Series>(max_points);
 }
 
 void
@@ -507,12 +483,11 @@ ChipSim::collectResult() const
     result.activeThreadFractions.resize(activeHistogram_.numBuckets());
     for (std::size_t k = 0; k < activeHistogram_.numBuckets(); ++k)
         result.activeThreadFractions[k] = activeHistogram_.fraction(k);
-    result.metrics = registry_.snapshot();
     return result;
 }
 
 telemetry::Snapshot
-rebuildResultMetrics(const SimResult &result)
+resultMetrics(const SimResult &result)
 {
     telemetry::MetricRegistry reg;
     reg.info("chip.config", [&result] { return result.configName; });

@@ -90,14 +90,6 @@ struct SimResult
     /** Fraction of time with k attached threads, k = 0..totalContexts. */
     std::vector<double> activeThreadFractions;
 
-    /**
-     * The run's readings by metric path (the chip registry's snapshot).
-     * Reports render from this; for hand-built results it may be empty —
-     * rebuildResultMetrics() reconstructs the identical snapshot from the
-     * structs above.
-     */
-    telemetry::Snapshot metrics;
-
     /** Seconds of simulated wall-clock time. */
     double seconds() const
     {
@@ -109,13 +101,11 @@ struct SimResult
 };
 
 /**
- * Rebuild the metric snapshot of @p result from its structs, on the same
- * path schema the live chip registry uses (`core.<i>.*`, `llc.*`, `dram.*`,
- * `xbar.*`, `chip.*`). For a ChipSim-collected result this reproduces
- * result.metrics value-for-value; for hand-built results it is the way to
- * get one.
+ * The readings of @p result by metric path — the one schema of a run's
+ * readings (`core.<i>.*`, `llc.*`, `dram.*`, `xbar.*`, `chip.*`; DESIGN.md
+ * §12), read straight from the result's structs. Reports render from it.
  */
-telemetry::Snapshot rebuildResultMetrics(const SimResult &result);
+telemetry::Snapshot resultMetrics(const SimResult &result);
 
 /** Safety limits of a run. */
 struct RunLimits
@@ -152,21 +142,11 @@ class ChipSim
     SharedMemory &sharedMemory() { return shared_; }
 
     /**
-     * The chip's metric registry: every component counter registered at
-     * construction under the `core.<i>.*` / `llc.*` / `dram.*` / `xbar.*`
-     * / `chip.*` path schema (DESIGN.md §12). Reading is only meaningful
-     * between run()/tick() calls (wakeAllCores() has settled deferred
-     * fast-forward accounting).
-     */
-    const telemetry::MetricRegistry &metrics() const { return registry_; }
-    telemetry::MetricRegistry &metrics() { return registry_; }
-
-    /**
      * Turn on interval time-series sampling: every @p interval global
-     * cycles, append one point to the `chip.ipc` series (chip-wide retired
-     * ops per cycle over the interval) and one to `chip.active_threads`
-     * (attached threads at the sample cycle). Off by default — when off,
-     * the run loops are exactly the pre-telemetry loops. Sampling clamps
+     * cycles, append one point to ipcSeries() (chip-wide retired ops per
+     * cycle over the interval) and one to activeThreadSeries() (attached
+     * threads at the sample cycle). Off by default — when off, the run
+     * loops are exactly the pre-telemetry loops. Sampling clamps
      * fast-forward jumps to sample boundaries, so sampled runs remain
      * bit-identical to strict (non-fast-forward) sampled runs.
      *
@@ -174,6 +154,13 @@ class ChipSim
      */
     void enableSampling(Cycle interval, std::size_t max_points = 0);
     bool samplingEnabled() const { return samplingInterval_ != 0; }
+
+    /** The sampled series; nullptr until enableSampling(). */
+    const telemetry::Series *ipcSeries() const { return ipcSeries_.get(); }
+    const telemetry::Series *activeThreadSeries() const
+    {
+        return activeSeries_.get();
+    }
 
     /** Attach/detach with central active-thread bookkeeping. */
     void attach(std::uint32_t core, std::uint32_t slot, ThreadSource *t);
@@ -294,9 +281,6 @@ class ChipSim
      * before results are read. */
     void flushCore(std::uint32_t i);
 
-    /** Register every chip-level and component metric (ctor helper). */
-    void registerChipMetrics();
-
     /** Record due time-series samples (called with now_ at or past the
      * next sample boundary; a no-op branch when sampling is off). Kept
      * out of line: sampling is off by default, and tick() is the
@@ -335,16 +319,13 @@ class ChipSim
     Cycle ffCycles_ = 0;
     std::uint64_t ffSpans_ = 0;
 
-    /** The telemetry spine. Declared after the components it views so the
-     * views never outlive their cells. */
-    telemetry::MetricRegistry registry_;
     /** Interval sampling state (0 interval = off). */
     Cycle samplingInterval_ = 0;
     Cycle nextSample_ = 0;
     Cycle lastSampleCycle_ = 0;
     std::uint64_t lastSampleRetired_ = 0;
-    telemetry::Series *ipcSeries_ = nullptr;
-    telemetry::Series *activeSeries_ = nullptr;
+    std::unique_ptr<telemetry::Series> ipcSeries_;
+    std::unique_ptr<telemetry::Series> activeSeries_;
 };
 
 } // namespace smtflex

@@ -45,14 +45,6 @@ class SharedMemory : public MemorySystem
     const DramModel &dram() const { return dram_; }
     const Crossbar &crossbar() const { return xbar_; }
 
-    /** Register the shared-side counters (llc.*, dram.*, xbar.*). */
-    void registerMetrics(telemetry::MetricRegistry &registry) const
-    {
-        llc_.registerMetrics(registry, "llc");
-        dram_.registerMetrics(registry, "dram");
-        xbar_.registerMetrics(registry, "xbar");
-    }
-
   private:
     /** Interconnect traversal: returns bank-lookup start cycle and the
      * response-hop latency for this request. */

@@ -1,5 +1,6 @@
 #include "study_engine.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/env.h"
@@ -27,6 +28,18 @@ requireWidth(const std::string &key, const std::vector<double> &values,
     if (values.size() < want)
         fatal("StudyEngine: cached record '", key, "' holds ",
               values.size(), " value(s), expected ", qualifier, want);
+}
+
+/** The @p what field of cached record @p key as an integer below @p bound;
+ * fatal() naming the key otherwise. */
+std::uint32_t
+requireIndex(const std::string &key, double value, std::uint32_t bound,
+             const char *what)
+{
+    if (!(value >= 0.0 && value < bound) || value != std::floor(value))
+        fatal("StudyEngine: cached record '", key, "' holds ", what, " ",
+              value, ", expected an integer below ", bound);
+    return static_cast<std::uint32_t>(value);
 }
 
 } // namespace
@@ -307,8 +320,15 @@ StudyEngine::decidePlacement(const ChipConfig &config,
     const std::string key =
         "ol;" + policy + ";" + keyPrefix(config) + ";" + workload.name;
     if (const auto hit = cache_.lookup(key)) {
+        // Callers index the workload, the design and the class names with
+        // these fields: a record that does not fit them fails here.
         const std::vector<double> &v = *hit;
         requireWidth(key, v, 8);
+        const std::size_t n = workload.size();
+        if (v.at(7) != static_cast<double>(n))
+            fatal("StudyEngine: cached record '", key, "' places ", v.at(7),
+                  " thread(s), expected ", n);
+        requireWidth(key, v, 8 + 3 * n);
         PlacementDecision d;
         d.predictedStp = v.at(0);
         d.predictedAntt = v.at(1);
@@ -317,15 +337,17 @@ StudyEngine::decidePlacement(const ChipConfig &config,
         d.reclassifications = v.at(4);
         d.quantaSampled = v.at(5);
         d.samplesRun = v.at(6);
-        const auto n = static_cast<std::size_t>(v.at(7));
-        requireWidth(key, v, 8 + 3 * n);
+        constexpr auto kClasses =
+            static_cast<std::uint32_t>(online::ThreadClass::kIlpBound) + 1;
         for (std::size_t t = 0; t < n; ++t) {
             Placement::Entry entry;
-            entry.core = static_cast<std::uint32_t>(v.at(8 + 3 * t));
-            entry.slot = static_cast<std::uint32_t>(v.at(9 + 3 * t));
+            entry.core =
+                requireIndex(key, v.at(8 + 3 * t), config.numCores(), "core");
+            entry.slot = requireIndex(key, v.at(9 + 3 * t),
+                                      config.contextsOf(entry.core), "slot");
             d.placement.entries.push_back(entry);
             d.classes.push_back(static_cast<online::ThreadClass>(
-                static_cast<int>(v.at(10 + 3 * t))));
+                requireIndex(key, v.at(10 + 3 * t), kClasses, "class")));
         }
         return d;
     }

@@ -99,9 +99,9 @@ class MetricValue
 
 /**
  * An append-only time series of (x, value) points sampled at a fixed
- * interval — the registry's handle for paper-style time-axis data
- * (per-interval IPC, active threads per N cycles). The x axis is
- * whatever the producer samples on (global cycles for the chip).
+ * interval: paper-style time-axis data (a ChipSim's per-interval IPC and
+ * active threads) or a registry's latency probes. The x axis is whatever
+ * the producer samples on (global cycles for the chip).
  *
  * Appends and reads are internally synchronized: producers may run on
  * worker threads (dist backend latency probes) while the serve I/O

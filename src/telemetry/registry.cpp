@@ -217,20 +217,6 @@ MetricRegistry::snapshot() const
     return out;
 }
 
-const Series *
-MetricRegistry::findSeries(const std::string &path) const
-{
-    const auto it = seriesStore_.find(path);
-    return it == seriesStore_.end() ? nullptr : it->second.get();
-}
-
-Series *
-MetricRegistry::findSeries(const std::string &path)
-{
-    const auto it = seriesStore_.find(path);
-    return it == seriesStore_.end() ? nullptr : it->second.get();
-}
-
 namespace {
 
 std::string

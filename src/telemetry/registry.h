@@ -1,24 +1,27 @@
 /**
  * @file
- * smtflex::telemetry — the hierarchical metric registry, the one spine
- * every stats silo (uarch counters, cache/DRAM/crossbar models, the chip
- * simulator, the serve layer) registers into.
+ * smtflex::telemetry — the hierarchical metric registry: a live view of a
+ * long-running process's counters by dotted path (`serve.requests`,
+ * `sched.decisions`, `dist.forwarded`). The serve layer owns one and
+ * answers its `stats` and `metrics` ops from it.
  *
- * Metrics are addressed by dotted paths (`core.3.retired`, `llc.misses`,
- * `serve.requests`). Registration happens once, at component
- * construction; the hot-path increments stay plain `uint64_t` bumps on
- * the producers' existing POD stats structs, because the registry holds
+ * Registration happens once, at construction; the increments stay plain
+ * bumps on the producers' own stats structs, because the registry holds
  * *views* — a pointer to the producer's cell, or a closure for computed
- * gauges — and only dereferences them when a consumer reads. The
- * simulator loop therefore pays nothing for being observable (the
- * BM_ChipSimSampledMcf20s / BM_ChipSimFastForwardMcf20s benchmark pair
- * pins this down).
+ * gauges — and only dereferences them when a consumer reads.
+ *
+ * A simulation run keeps no live registry. Its readings are the SimResult
+ * structs, and resultMetrics() (sim/chip_sim.h) lays them out on the
+ * `core.<i>.*` / `llc.*` / `dram.*` / `xbar.*` / `chip.*` schema by
+ * snapshotting a throwaway registry of views over the result. The
+ * simulator components share only the stats idiom below
+ * (`forEachCounter`, StatsProvider).
  *
  * Consumers walk the registry: forEach()/forEachInSubtree() visit metrics
  * in sorted path order, snapshot() materialises the current readings, and
- * exposition() renders Prometheus-style text. The serve stats body, the
- * text/CSV reports and the `metrics` op are all such walks — no more
- * hand-marshalled export paths.
+ * exposition() renders Prometheus-style text. The serve stats body and the
+ * `metrics` op are such walks; the text/CSV reports read a result's
+ * snapshot.
  */
 
 #ifndef SMTFLEX_TELEMETRY_REGISTRY_H
@@ -39,10 +42,8 @@ namespace telemetry {
 
 /**
  * A materialised set of readings: path -> value, taken from a registry
- * walk (or rebuilt from result structs — the values are identical because
- * the registry's counter views point at those very structs). SimResult
- * carries one so reports can render from paths without reaching back into
- * per-component structs.
+ * walk. resultMetrics() builds one from a SimResult so reports can render
+ * from paths without reaching back into per-component structs.
  */
 class Snapshot
 {
@@ -146,10 +147,6 @@ class MetricRegistry
     /** Materialise every scalar metric (series are not snapshotted —
      * access their points through series()). */
     Snapshot snapshot() const;
-
-    /** The series at @p path, or nullptr when none was created. */
-    const Series *findSeries(const std::string &path) const;
-    Series *findSeries(const std::string &path);
 
     /**
      * Prometheus-style text exposition of every scalar metric: dotted

@@ -142,25 +142,6 @@ class Core : public telemetry::StatsProvider<CoreStats>
      */
     void skipTicks(Cycle count);
 
-    /**
-     * Register the core's counters and its private hierarchy under
-     * @p prefix (e.g. "core.3"): the CoreStats scalars, one
-     * `dispatch.<op_class>` counter per OpClass, and the l1i/l1d/l2
-     * cache counters.
-     */
-    void registerMetrics(telemetry::MetricRegistry &registry,
-                         const std::string &prefix) const
-    {
-        telemetry::attachCounters(registry, prefix, stats_);
-        for (int c = 0; c < kNumOpClasses; ++c)
-            registry.counter(prefix + ".dispatch." +
-                                 opClassMetricName(static_cast<OpClass>(c)),
-                             &stats_.dispatched[c]);
-        hierarchy_.l1i().registerMetrics(registry, prefix + ".l1i");
-        hierarchy_.l1d().registerMetrics(registry, prefix + ".l1d");
-        hierarchy_.l2().registerMetrics(registry, prefix + ".l2");
-    }
-
     PrivateHierarchy &hierarchy() { return hierarchy_; }
     const PrivateHierarchy &hierarchy() const { return hierarchy_; }
 

@@ -75,14 +75,6 @@ class Crossbar : public telemetry::StatsProvider<CrossbarStats>
 
     const CrossbarConfig &config() const { return config_; }
 
-    /** Register this crossbar's counters under @p prefix (e.g. "xbar"). */
-    void registerMetrics(telemetry::MetricRegistry &registry,
-                         const std::string &prefix) const
-    {
-        telemetry::attachCounters(registry, prefix, stats_);
-    }
-
-
   private:
     CrossbarConfig config_;
     /** Next free cycle per LLC bank. */

@@ -3,13 +3,15 @@
  * Federation op tests: cache_pull / cache_push / sweep_chunk parsing
  * (including malformed and hostile payloads), id echo, oversized-frame
  * rejection, and the pull/push round trip through a live server — a
- * pushed record must come back bit-exact, doubles included.
+ * pushed record must come back bit-exact, doubles included, and a pushed
+ * record that does not fit its op must fail that op, not the server.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,6 +281,40 @@ TEST(CacheOpsServerTest, MalformedFederationRequestsGetBadRequestReply)
     ASSERT_FALSE(chunk.at("ok").asBool());
     EXPECT_EQ(chunk.at("error").asString(), "bad_request");
     EXPECT_EQ(chunk.at("id").asU64(), 5u);
+}
+
+TEST(CacheOpsServerTest, PushedPlacementThatDoesNotFitFailsItsSchedule)
+{
+    ServerOptions options;
+    options.study = fastStudy();
+    TestServer ts(options);
+    Client client;
+    client.connect("127.0.0.1", ts.port());
+
+    // A cached online decision for mcf+hmmer that places zero threads:
+    // the schedule must fail naming the key, not index past the mix.
+    const StudyOptions &study = options.study;
+    std::ostringstream key;
+    key << "ol;pairing;4B;smt1;bw" << study.bandwidthGBps << ";b"
+        << study.budget << ";w" << study.warmup << ";s" << study.seed
+        << ";mix:mcf+hmmer";
+    const Json pushed =
+        client.call(pushDoc(key.str(), {1, 1, 0, 0, 0, 0, 0, 0}));
+    ASSERT_TRUE(pushed.at("ok").asBool());
+    EXPECT_EQ(pushed.at("stored").asU64(), 1u);
+
+    const Json reply = client.call(Json::parse(
+        "{\"op\":\"schedule\",\"design\":\"4B\","
+        "\"benchmarks\":[\"mcf\",\"hmmer\"],\"policy\":\"pairing\"}"));
+    ASSERT_FALSE(reply.at("ok").asBool());
+    EXPECT_EQ(reply.at("error").asString(), "failed");
+    EXPECT_NE(reply.at("message").asString().find(key.str()),
+              std::string::npos)
+        << reply.at("message").asString();
+
+    // The server keeps answering.
+    const Json pong = client.call(Json::parse("{\"op\":\"ping\"}"));
+    EXPECT_TRUE(pong.at("ok").asBool());
 }
 
 TEST(CacheOpsServerTest, OversizedPushFrameIsRefusedWithoutKillingServer)

@@ -219,6 +219,40 @@ TEST(ChipSimFastFwdTest, RunOutOfWorkMatchesTickExactly)
     EXPECT_GT(fast_chip.fastForwardedCycles(), Cycle{0});
 }
 
+/**
+ * The fast-forward's work gate: mcf on every core of the 20-small-core
+ * chip spends most of its time with every context stalled on a DRAM fill,
+ * so nearly every core-cycle is skippable. Over a pinned window from
+ * cycle 0 (256 calls of run(4096)), the elided share of core-cycles is a
+ * deterministic count, unlike the wall-clock speedup it buys; a change
+ * that stops cores from sleeping drops it far below the floor.
+ */
+TEST(ChipSimFastFwdTest, Mcf20sElidesAtLeast95PercentOfCoreCycles)
+{
+    const ChipConfig cfg = paperDesign("20s");
+    std::vector<SimThread> threads;
+    threads.reserve(cfg.numCores());
+    for (std::uint32_t i = 0; i < cfg.numCores(); ++i)
+        threads.emplace_back(specProfile("mcf"), 1, i, InstrCount{1} << 40,
+                             true);
+    ChipSim chip(cfg);
+    for (std::uint32_t i = 0; i < cfg.numCores(); ++i)
+        chip.attach(i, 0, &threads[i]);
+    chip.setFastForward(true);
+
+    constexpr Cycle kChunk = 4096;
+    constexpr int kChunks = 256;
+    for (int c = 0; c < kChunks; ++c)
+        chip.run(kChunk);
+
+    const Cycle core_cycles = Cycle{cfg.numCores()} * kChunks * kChunk;
+    EXPECT_GE(static_cast<double>(chip.fastForwardedCycles()) /
+                  static_cast<double>(core_cycles),
+              0.95)
+        << chip.fastForwardedCycles() << " of " << core_cycles
+        << " core-cycles elided";
+}
+
 TEST(ChipSimFastFwdTest, EnvFlagDisablesFastForward)
 {
     const ChipConfig cfg =

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests of the chip simulator's telemetry spine: the live registry
- * snapshot collected into SimResult must equal the snapshot rebuilt from
- * the result structs (same paths, same values — the registry views point
- * at those very structs); Core's clearStats() must reset every counter
- * including the private hierarchy's; and interval sampling must populate
- * the chip.ipc / chip.active_threads series without perturbing the run —
- * sampled fast-forward results stay bit-identical to strict ones, also
- * when time-shared threads rotate between samples.
+ * Tests of the chip simulator's telemetry: resultMetrics() must lay a
+ * result's structs out on the metric path schema, value for value, for
+ * collected and hand-built results alike; Core's clearStats() must reset
+ * every counter; and interval sampling must populate the IPC and
+ * active-thread series without perturbing the run — sampled fast-forward
+ * results stay bit-identical to strict ones, also when time-shared
+ * threads rotate between samples.
  */
 
 #include <string>
@@ -34,7 +33,7 @@ runWorkload(ChipSim &chip, const std::vector<const char *> &benches,
     return chip.runMultiProgram(specs, placement, 42, limits);
 }
 
-TEST(ChipTelemetryTest, LiveSnapshotMatchesRebuiltSnapshot)
+TEST(ChipTelemetryTest, ResultMetricsReadTheStructs)
 {
     const ChipConfig cfg =
         ChipConfig::homogeneous("2B", CoreParams::big(), 2);
@@ -42,38 +41,20 @@ TEST(ChipTelemetryTest, LiveSnapshotMatchesRebuiltSnapshot)
     pl.entries = {{0, 0}, {0, 1}, {1, 0}};
     ChipSim chip(cfg);
     const SimResult result = runWorkload(chip, {"mcf", "hmmer", "milc"}, pl);
-
-    ASSERT_FALSE(result.metrics.empty());
-    const telemetry::Snapshot rebuilt = rebuildResultMetrics(result);
-    // Path-for-path, value-for-value: reports may render from either.
-    EXPECT_TRUE(result.metrics == rebuilt);
+    const telemetry::Snapshot metrics = resultMetrics(result);
 
     // Spot-check the schema against the structs.
-    EXPECT_EQ(result.metrics.u64("chip.cycles"), result.cycles);
-    EXPECT_EQ(result.metrics.u64("llc.misses"), result.llc.misses);
-    EXPECT_EQ(result.metrics.u64("core.0.retired"),
-              result.cores[0].stats.retired);
-    EXPECT_EQ(result.metrics.u64("core.1.l1d.accesses"),
+    EXPECT_EQ(metrics.u64("chip.cycles"), result.cycles);
+    EXPECT_EQ(metrics.u64("chip.cycles"), chip.now());
+    EXPECT_EQ(metrics.u64("llc.misses"), result.llc.misses);
+    EXPECT_EQ(metrics.u64("core.0.retired"), result.cores[0].stats.retired);
+    EXPECT_GT(metrics.u64("core.0.dispatch.int_alu"), 0u);
+    EXPECT_EQ(metrics.u64("core.1.l1d.accesses"),
               result.cores[1].l1d.accesses);
-    EXPECT_EQ(result.metrics.u64("dram.reads"), result.dram.reads);
-    EXPECT_EQ(result.metrics.at("chip.config").asString(), cfg.name);
-    EXPECT_EQ(result.metrics.at("chip.hit_cycle_limit").asBool(),
+    EXPECT_EQ(metrics.u64("dram.reads"), result.dram.reads);
+    EXPECT_EQ(metrics.at("chip.config").asString(), cfg.name);
+    EXPECT_EQ(metrics.at("chip.hit_cycle_limit").asBool(),
               result.hitCycleLimit);
-}
-
-TEST(ChipTelemetryTest, RegistryViewsTrackLiveCounters)
-{
-    const ChipConfig cfg =
-        ChipConfig::homogeneous("1B", CoreParams::big(), 1);
-    ChipSim chip(cfg);
-    Placement pl;
-    pl.entries = {{0, 0}};
-    runWorkload(chip, {"hmmer"}, pl);
-
-    // Between runs the registry reads the very cells the run bumped.
-    EXPECT_GT(chip.metrics().read("core.0.retired").asU64(), 0u);
-    EXPECT_EQ(chip.metrics().read("chip.cycles").asU64(), chip.now());
-    EXPECT_GT(chip.metrics().read("core.0.dispatch.int_alu").asU64(), 0u);
 }
 
 TEST(ChipTelemetryTest, CoreClearStatsResetsEverything)
@@ -95,8 +76,6 @@ TEST(ChipTelemetryTest, CoreClearStatsResetsEverything)
     EXPECT_EQ(core.stats().mispredicts, 0u);
     for (std::size_t k = 0; k < kNumOpClasses; ++k)
         EXPECT_EQ(core.stats().dispatched[k], 0u);
-    // The registry's views see the reset immediately.
-    EXPECT_EQ(chip.metrics().read("core.0.retired").asU64(), 0u);
 }
 
 TEST(ChipTelemetryTest, SamplingPopulatesSeries)
@@ -110,9 +89,8 @@ TEST(ChipTelemetryTest, SamplingPopulatesSeries)
     pl.entries = {{0, 0}};
     runWorkload(chip, {"mcf"}, pl);
 
-    const telemetry::Series *ipc = chip.metrics().findSeries("chip.ipc");
-    const telemetry::Series *active =
-        chip.metrics().findSeries("chip.active_threads");
+    const telemetry::Series *ipc = chip.ipcSeries();
+    const telemetry::Series *active = chip.activeThreadSeries();
     ASSERT_NE(ipc, nullptr);
     ASSERT_NE(active, nullptr);
     EXPECT_GT(ipc->size(), 0u);
@@ -140,18 +118,35 @@ TEST(ChipTelemetryTest, SamplingRingCapsPoints)
     pl.entries = {{0, 0}};
     runWorkload(chip, {"mcf"}, pl);
 
-    const telemetry::Series *ipc = chip.metrics().findSeries("chip.ipc");
+    const telemetry::Series *ipc = chip.ipcSeries();
     ASSERT_NE(ipc, nullptr);
     EXPECT_LE(ipc->size(), 8u);
     // The ring keeps the most recent samples.
     EXPECT_EQ(ipc->points().back().x % 500, 0u);
 }
 
+/** Two sampled series hold the same points, x and value. */
+void
+expectSameSeries(const telemetry::Series *fast,
+                 const telemetry::Series *strict)
+{
+    ASSERT_NE(fast, nullptr);
+    ASSERT_NE(strict, nullptr);
+    const auto a = fast->points();
+    const auto b = strict->points();
+    ASSERT_GT(a.size(), 0u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].x, b[i].x) << "point " << i;
+        EXPECT_EQ(a[i].value, b[i].value) << "point " << i;
+    }
+}
+
 /** Sampling must not perturb simulation: a sampled fast-forward run stays
  * bit-identical to a sampled strict run (the jump clamp at sample
  * boundaries), and to an unsampled run of either kind. Compares the
- * SimResult field for field, the metrics snapshots and the chip.ipc /
- * chip.active_threads series. */
+ * SimResult field for field, its resultMetrics() and the IPC and
+ * active-thread series. */
 void
 expectSamplingPreservesResults(const ChipConfig &config,
                                const Placement &placement,
@@ -183,26 +178,19 @@ expectSamplingPreservesResults(const ChipConfig &config,
     // Field for field, then the snapshots, which cover every counter.
     expectIdentical(base, fast);
     expectIdentical(fast, strict);
-    EXPECT_TRUE(base.metrics == fast.metrics);
-    EXPECT_TRUE(fast.metrics == strict.metrics);
+    EXPECT_TRUE(resultMetrics(base) == resultMetrics(fast));
+    EXPECT_TRUE(resultMetrics(fast) == resultMetrics(strict));
 
     // And the sampled series themselves agree between strict and fast.
-    for (const char *path : {"chip.ipc", "chip.active_threads"}) {
-        SCOPED_TRACE(path);
-        const telemetry::Series *fast_series =
-            sampled_fast.metrics().findSeries(path);
-        const telemetry::Series *strict_series =
-            sampled_strict.metrics().findSeries(path);
-        ASSERT_NE(fast_series, nullptr);
-        ASSERT_NE(strict_series, nullptr);
-        const auto a = fast_series->points();
-        const auto b = strict_series->points();
-        ASSERT_GT(a.size(), 0u);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].x, b[i].x) << "point " << i;
-            EXPECT_EQ(a[i].value, b[i].value) << "point " << i;
-        }
+    {
+        SCOPED_TRACE("ipc");
+        expectSameSeries(sampled_fast.ipcSeries(),
+                         sampled_strict.ipcSeries());
+    }
+    {
+        SCOPED_TRACE("active_threads");
+        expectSameSeries(sampled_fast.activeThreadSeries(),
+                         sampled_strict.activeThreadSeries());
     }
 }
 
@@ -229,7 +217,7 @@ TEST(ChipTelemetryTest, TimeSharingSamplingPreservesBitIdenticalResults)
         {"mcf", "milc", "hmmer"}, rotating, 2'000, 500, 700);
 }
 
-TEST(ChipTelemetryTest, RebuildWorksForHandBuiltResults)
+TEST(ChipTelemetryTest, ResultMetricsWorkForHandBuiltResults)
 {
     SimResult result;
     result.configName = "synthetic";
@@ -238,7 +226,7 @@ TEST(ChipTelemetryTest, RebuildWorksForHandBuiltResults)
     result.llc.misses = 3;
     result.dram.reads = 2;
 
-    const telemetry::Snapshot snap = rebuildResultMetrics(result);
+    const telemetry::Snapshot snap = resultMetrics(result);
     EXPECT_EQ(snap.u64("chip.cycles"), 1'000u);
     EXPECT_EQ(snap.u64("llc.misses"), 3u);
     EXPECT_EQ(snap.u64("dram.reads"), 2u);

@@ -10,12 +10,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "study/design_space.h"
 #include "study/study_engine.h"
 #include "trace/spec_profiles.h"
 #include "workload/distributions.h"
+#include "workload/multiprogram.h"
 #include "tests/common/temp_path.h"
 
 namespace smtflex {
@@ -210,6 +212,85 @@ TEST(StudyEngineTest, EmptyIsolatedRecordIsFatal)
     StudyEngine eng(opts);
     EXPECT_THROW(eng.isolatedIpc(bench, CoreType::kBig), FatalError);
     removeTestTempFiles(opts.cachePath);
+}
+
+/**
+ * decidePlacement() for mcf+hmmer on 4B with @p record cached under its
+ * `ol;` key, on an in-memory engine: the decoded decision, or a
+ * FatalError that must name the key.
+ */
+PlacementDecision
+decideFromRecord(const std::vector<double> &record)
+{
+    const StudyOptions opts = fastOptions();
+    std::ostringstream key;
+    key << "ol;pairing;4B;smt1;bw" << opts.bandwidthGBps << ";b"
+        << opts.budget << ";w" << opts.warmup << ";s" << opts.seed
+        << ";mix:mcf+hmmer";
+    StudyEngine eng(opts);
+    eng.resultCache().store(key.str(), record);
+    try {
+        return eng.decidePlacement(paperDesign("4B"),
+                                   mixWorkload({"mcf", "hmmer"}), "pairing");
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(key.str()), std::string::npos)
+            << e.what();
+        throw;
+    }
+}
+
+/** Two threads: core 0 slot 1 memory-bound, core 3 slot 0 ILP-bound. */
+const std::vector<double> kPlacementRecord = {
+    1.5, 1.2, 1, 0, 0, 4, 4, 2, 0, 1, 0, 3, 0, 2};
+
+/** kPlacementRecord with value @p index replaced by @p value. */
+std::vector<double>
+placementRecordWith(std::size_t index, double value)
+{
+    std::vector<double> record = kPlacementRecord;
+    record.at(index) = value;
+    return record;
+}
+
+TEST(CachedPlacementTest, WellFormedRecordDecodes)
+{
+    const PlacementDecision d = decideFromRecord(kPlacementRecord);
+    ASSERT_EQ(d.placement.entries.size(), 2u);
+    EXPECT_EQ(d.placement.entries[0].slot, 1u);
+    EXPECT_EQ(d.placement.entries[1].core, 3u);
+    EXPECT_EQ(d.classes[1], online::ThreadClass::kIlpBound);
+}
+
+// A cached `ol;` record's thread count, cores, slots and classes index
+// the workload, the design and the class names; a record that does not
+// fit them must fail loudly instead of indexing past their ends.
+TEST(CachedPlacementTest, ThreadCountOtherThanTheWorkloadIsFatal)
+{
+    EXPECT_THROW(decideFromRecord({1, 1, 0, 0, 0, 0, 0, 0}), FatalError);
+}
+
+TEST(CachedPlacementTest, RecordTooShortForItsThreadsIsFatal)
+{
+    const std::vector<double> cut(kPlacementRecord.begin(),
+                                  kPlacementRecord.end() - 1);
+    EXPECT_THROW(decideFromRecord(cut), FatalError);
+}
+
+TEST(CachedPlacementTest, CoreOutsideTheDesignIsFatal)
+{
+    EXPECT_THROW(decideFromRecord(placementRecordWith(11, 4)), FatalError);
+    EXPECT_THROW(decideFromRecord(placementRecordWith(11, 0.5)), FatalError);
+}
+
+TEST(CachedPlacementTest, SlotOutsideTheCoreIsFatal)
+{
+    // A big core exposes six SMT slots.
+    EXPECT_THROW(decideFromRecord(placementRecordWith(9, 6)), FatalError);
+}
+
+TEST(CachedPlacementTest, UnknownThreadClassIsFatal)
+{
+    EXPECT_THROW(decideFromRecord(placementRecordWith(13, 3)), FatalError);
 }
 
 #ifdef SMTFLEX_SOURCE_DIR
