@@ -1,10 +1,12 @@
 /**
  * @file
- * Shared helpers for the figure-regeneration benches: consistent headers,
- * the study parameters, and argmax. Every bench binary prints the
- * rows/series of one paper table or figure; results are memoised in the
+ * Shared helpers for the figure-regeneration benches: the banner and the
+ * study parameters. Every bench binary prints the rows/series of one
+ * paper table or figure; the figure benches compute them through
+ * study/figures.h and only format them here. Results are memoised in the
  * shared disk cache (smtflex_cache.txt by default), so the first bench to
- * run a sweep pays for it and the rest replay it.
+ * run a sweep pays for it and the rest replay it; tests/golden/ holds
+ * every bench's stdout as replayed from the committed seed cache.
  */
 
 #ifndef SMTFLEX_BENCH_BENCH_UTIL_H
@@ -12,9 +14,8 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "study/study_engine.h"
+#include "study/figures.h"
 
 namespace smtflex {
 namespace benchutil {
@@ -42,15 +43,21 @@ printOptions(const StudyOptions &opts)
                 opts.cachePath.empty() ? "(none)" : opts.cachePath.c_str());
 }
 
-/** Index of the maximum element. */
-inline std::size_t
-argmax(const std::vector<double> &v)
+/** Print one metric of @p grid: a header of design names, then a row of
+ * cells with @p decimals decimals per thread count. */
+inline void
+printGrid(const DesignGrid &grid, double RunMetrics::*metric, int decimals)
 {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < v.size(); ++i)
-        if (v[i] > v[best])
-            best = i;
-    return best;
+    std::printf("%-8s", "threads");
+    for (const auto &name : grid.designs)
+        std::printf("%9s", name.c_str());
+    std::printf("\n");
+    for (std::size_t r = 0; r < grid.counts.size(); ++r) {
+        std::printf("%-8u", grid.counts[r]);
+        for (const RunMetrics &m : grid.rows[r])
+            std::printf("%9.*f", decimals, m.*metric);
+        std::printf("\n");
+    }
 }
 
 } // namespace benchutil

@@ -14,6 +14,7 @@
 #include "analytic/hill_marty.h"
 #include "bench/bench_util.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
 
 using namespace smtflex;
@@ -45,38 +46,24 @@ main()
     // with SMT (the paper's setting).
     StudyEngine eng;
     const auto dist = uniformThreadCounts(eng.options().maxThreads);
-    const double sym_4b = eng.distributionStp(paperDesign("4B"), dist, true);
-    double best_het = 0.0;
-    std::string best_het_name;
-    for (const char *name : {"3B2m", "3B5s", "2B4m", "2B10s", "1B6m",
-                             "1B15s"}) {
-        const double s = eng.distributionStp(paperDesign(name), dist, true);
-        if (s > best_het) {
-            best_het = s;
-            best_het_name = name;
-        }
-    }
+    const DesignGrid grid =
+        designGrid(eng, paperDesigns(), eng.sweepThreadCounts(), true);
+    const double sym_4b = byDesign(distributionPoints(eng, grid, dist), "4B")
+                              .stp;
+    const auto asym = distributionPoints(
+        eng, paperConfigs({"3B2m", "3B5s", "2B4m", "2B10s", "1B6m", "1B15s"}),
+        dist, true);
+    const DistributionPoint &best_het =
+        asym[bestOf(asym, &DistributionPoint::stp)];
     // Ideal dynamic: best design at each thread count.
-    std::vector<double> dyn, w;
-    for (std::size_t n = 1; n <= dist.size(); ++n) {
-        double best = 0.0;
-        for (const auto &name : paperDesignNames()) {
-            best = std::max(best,
-                            eng.heterogeneousAt(
-                                paperDesign(name),
-                                eng.nearestSweepCount(
-                                    static_cast<std::uint32_t>(n))).stp);
-        }
-        dyn.push_back(best);
-        w.push_back(dist.probability(n));
-    }
-    const double dynamic = weightedHarmonicMean(dyn, w);
+    const double dynamic =
+        distributionPoints(eng, dynamicEnvelope(grid), dist)[0].stp;
 
     std::printf("(b) measured (uniform thread-count distribution, SMT, "
                 "heterogeneous workloads)\n");
     std::printf("  symmetric 4B (SMT):       %7.3f\n", sym_4b);
-    std::printf("  best asymmetric (%s):   %7.3f\n", best_het_name.c_str(),
-                best_het);
+    std::printf("  best asymmetric (%s):   %7.3f\n", best_het.design.c_str(),
+                best_het.stp);
     std::printf("  ideal dynamic:            %7.3f\n", dynamic);
     std::printf(
         "\nPaper's point: analytically the asymmetric design beats the "
@@ -91,6 +78,6 @@ main()
             p.parallelFraction = 0.9;
             return bestAsymmetricSpeedup(p) / bestSymmetricSpeedup(p);
         }(),
-        100.0 * sym_4b / best_het, 100.0 * sym_4b / dynamic);
+        100.0 * sym_4b / best_het.stp, 100.0 * sym_4b / dynamic);
     return 0;
 }

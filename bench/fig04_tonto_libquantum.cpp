@@ -15,24 +15,15 @@ using namespace smtflex;
 
 namespace {
 
-void
+DesignGrid
 perBenchmark(StudyEngine &eng, const std::string &bench)
 {
+    const DesignGrid grid = designGrid(eng, paperDesigns(),
+                                       eng.sweepThreadCounts(), false, bench);
     std::printf("(%s, homogeneous multi-program)\n", bench.c_str());
-    std::printf("%-8s", "threads");
-    for (const auto &name : paperDesignNames())
-        std::printf("%9s", name.c_str());
+    benchutil::printGrid(grid, &RunMetrics::stp, 3);
     std::printf("\n");
-    for (const std::uint32_t n : eng.sweepThreadCounts()) {
-        std::printf("%-8u", n);
-        for (const auto &name : paperDesignNames()) {
-            std::printf("%9.3f",
-                        eng.homogeneousBenchmarkAt(paperDesign(name), bench,
-                                                   n).stp);
-        }
-        std::printf("\n");
-    }
-    std::printf("\n");
+    return grid;
 }
 
 } // namespace
@@ -46,22 +37,18 @@ main()
                       "and libquantum (bandwidth-bound)");
     benchutil::printOptions(eng.options());
 
-    perBenchmark(eng, "tonto");
-    perBenchmark(eng, "libquantum");
+    const DesignGrid tonto = perBenchmark(eng, "tonto");
+    const DesignGrid libquantum = perBenchmark(eng, "libquantum");
 
     // The paper's diagnostic: for libquantum, memory access time at 24
     // threads is ~4x the isolated latency; the configurations converge.
-    const double lq_4b_24 =
-        eng.homogeneousBenchmarkAt(paperDesign("4B"), "libquantum", 24).stp;
-    const double lq_20s_24 =
-        eng.homogeneousBenchmarkAt(paperDesign("20s"), "libquantum", 24).stp;
+    const double lq_4b_24 = libquantum.at(24, "4B").stp;
+    const double lq_20s_24 = libquantum.at(24, "20s").stp;
     std::printf("libquantum @24 threads: 4B=%.3f vs 20s=%.3f (ratio %.2f; "
                 "paper: near parity)\n",
                 lq_4b_24, lq_20s_24, lq_4b_24 / lq_20s_24);
-    const double to_4b_24 =
-        eng.homogeneousBenchmarkAt(paperDesign("4B"), "tonto", 24).stp;
-    const double to_20s_24 =
-        eng.homogeneousBenchmarkAt(paperDesign("20s"), "tonto", 24).stp;
+    const double to_4b_24 = tonto.at(24, "4B").stp;
+    const double to_20s_24 = tonto.at(24, "20s").stp;
     std::printf("tonto      @24 threads: 4B=%.3f vs 20s=%.3f (ratio %.2f; "
                 "paper: 4B clearly below)\n",
                 to_4b_24, to_20s_24, to_4b_24 / to_20s_24);

@@ -22,24 +22,16 @@ main()
                       "ANTT vs thread count, homogeneous workloads");
     benchutil::printOptions(eng.options());
 
-    std::printf("%-8s", "threads");
-    for (const auto &name : paperDesignNames())
-        std::printf("%9s", name.c_str());
-    std::printf("\n");
-    for (const std::uint32_t n : eng.sweepThreadCounts()) {
-        std::printf("%-8u", n);
-        for (const auto &name : paperDesignNames())
-            std::printf("%9.2f",
-                        eng.homogeneousAt(paperDesign(name), n).antt);
-        std::printf("\n");
-    }
+    const DesignGrid grid =
+        designGrid(eng, paperDesigns(), eng.sweepThreadCounts(), false);
+    benchutil::printGrid(grid, &RunMetrics::antt, 2);
 
     std::printf("\nChecks: at 1 thread 4B has the lowest ANTT; ANTT grows "
                 "with thread count for every design.\n");
-    double antt1_4b = eng.homogeneousAt(paperDesign("4B"), 1).antt;
-    bool lowest = true;
-    for (const auto &name : paperDesignNames())
-        lowest &= antt1_4b <= eng.homogeneousAt(paperDesign(name), 1).antt;
+    const auto &at1 = grid.rows[grid.row(1)];
+    const bool lowest = bestOf(at1, [](const RunMetrics &m) {
+        return -m.antt;
+    }) == grid.column("4B");
     std::printf("4B lowest ANTT at 1 thread: %s\n", lowest ? "yes" : "NO");
     return 0;
 }

@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "exec/parallel.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
 
 using namespace smtflex;
@@ -28,17 +28,13 @@ main()
     for (const bool het : {false, true}) {
         std::printf("(%s workloads)\n", het ? "heterogeneous"
                                             : "homogeneous");
-        const std::vector<double> scores =
-            exec::mapItems(paperDesignNames(), [&](const auto &name) {
-                return eng.distributionStp(paperDesign(name).withSmt(false),
-                                           dist, het);
-            });
-        for (std::size_t i = 0; i < scores.size(); ++i)
-            std::printf("  %-6s %8.3f\n", paperDesignNames()[i].c_str(),
-                        scores[i]);
-        const std::size_t best = benchutil::argmax(scores);
+        const auto points = distributionPoints(
+            eng, paperConfigs(paperDesignNames(), false), dist, het);
+        for (const DistributionPoint &p : points)
+            std::printf("  %-6s %8.3f\n", p.design.c_str(), p.stp);
         std::printf("  best without SMT: %s (paper: %s)\n\n",
-                    paperDesignNames()[best].c_str(),
+                    points[bestOf(points, &DistributionPoint::stp)]
+                        .design.c_str(),
                     het ? "3B5s" : "2B4m");
     }
     return 0;

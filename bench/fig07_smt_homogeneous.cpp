@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "exec/parallel.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
 
 using namespace smtflex;
@@ -27,30 +27,23 @@ main()
     benchutil::printOptions(eng.options());
 
     const auto dist = uniformThreadCounts(eng.options().maxThreads);
-    const std::vector<std::string> homogeneous = {"4B", "8m", "20s"};
+    std::vector<ChipConfig> designs = paperDesigns();
+    for (ChipConfig &cfg : designs)
+        cfg.smtEnabled = cfg.name == "4B" || cfg.name == "8m" ||
+            cfg.name == "20s";
 
     for (const bool het : {false, true}) {
         std::printf("(%s workloads)\n", het ? "heterogeneous"
                                             : "homogeneous");
-        const std::vector<double> scores =
-            exec::mapItems(paperDesignNames(), [&](const auto &name) {
-                const bool smt = std::find(homogeneous.begin(),
-                                           homogeneous.end(),
-                                           name) != homogeneous.end();
-                return eng.distributionStp(paperDesign(name).withSmt(smt),
-                                           dist, het);
-            });
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-            const auto &name = paperDesignNames()[i];
-            const bool smt = std::find(homogeneous.begin(),
-                                       homogeneous.end(),
-                                       name) != homogeneous.end();
-            std::printf("  %-6s %8.3f%s\n", name.c_str(), scores[i],
-                        smt ? "  (SMT)" : "");
+        const auto points = distributionPoints(eng, designs, dist, het);
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            std::printf("  %-6s %8.3f%s\n", points[i].design.c_str(),
+                        points[i].stp,
+                        designs[i].smtEnabled ? "  (SMT)" : "");
         }
-        const std::size_t best = benchutil::argmax(scores);
         std::printf("  best: %s (paper: 4B)\n\n",
-                    paperDesignNames()[best].c_str());
+                    points[bestOf(points, &DistributionPoint::stp)]
+                        .design.c_str());
     }
     return 0;
 }

@@ -11,8 +11,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "exec/parallel.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
 
 using namespace smtflex;
@@ -29,24 +29,16 @@ main()
     for (const bool het : {false, true}) {
         std::printf("(%s workloads)\n", het ? "heterogeneous"
                                             : "homogeneous");
-        // The nine designs are independent sweeps: fan them out across the
-        // pool and print once all have landed.
-        const std::vector<double> scores =
-            exec::mapItems(paperDesignNames(), [&](const auto &name) {
-                return eng.distributionStp(paperDesign(name), dist, het);
-            });
-        double v4b = 0.0;
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-            if (paperDesignNames()[i] == "4B")
-                v4b = scores[i];
-            std::printf("  %-6s %8.3f\n", paperDesignNames()[i].c_str(),
-                        scores[i]);
-        }
-        const std::size_t best = benchutil::argmax(scores);
+        const auto points =
+            distributionPoints(eng, paperDesigns(), dist, het);
+        for (const DistributionPoint &p : points)
+            std::printf("  %-6s %8.3f\n", p.design.c_str(), p.stp);
+        const DistributionPoint &best =
+            points[bestOf(points, &DistributionPoint::stp)];
         std::printf("  best: %s; 4B at %.1f%% of best (paper: best "
                     "heterogeneous ~0.5-0.6%% from 4B)\n\n",
-                    paperDesignNames()[best].c_str(),
-                    100.0 * v4b / scores[best]);
+                    best.design.c_str(),
+                    100.0 * byDesign(points, "4B").stp / best.stp);
     }
     return 0;
 }

@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "trace/spec_profiles.h"
 #include "workload/distributions.h"
 
@@ -32,24 +33,14 @@ main()
     std::printf("%10s\n", "best");
 
     for (const auto &bench : specBenchmarkNames()) {
+        const auto points =
+            distributionPoints(eng, paperDesigns(), dist, false, bench);
         std::printf("%-12s", bench.c_str());
-        std::vector<double> scores;
-        for (const auto &name : paperDesignNames()) {
-            // Weighted harmonic mean of per-thread-count STP (sampled at
-            // the sweep's thread counts).
-            std::vector<double> stp, w;
-            for (std::size_t n = 1; n <= dist.size(); ++n) {
-                stp.push_back(eng.homogeneousBenchmarkAt(
-                    paperDesign(name), bench,
-                    eng.nearestSweepCount(
-                        static_cast<std::uint32_t>(n))).stp);
-                w.push_back(dist.probability(n));
-            }
-            scores.push_back(weightedHarmonicMean(stp, w));
-            std::printf("%9.3f", scores.back());
-        }
+        for (const DistributionPoint &p : points)
+            std::printf("%9.3f", p.stp);
         std::printf("%10s\n",
-                    paperDesignNames()[benchutil::argmax(scores)].c_str());
+                    points[bestOf(points, &DistributionPoint::stp)]
+                        .design.c_str());
     }
     return 0;
 }

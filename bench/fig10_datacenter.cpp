@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
 
 using namespace smtflex;
@@ -50,14 +51,13 @@ main()
     };
     for (const auto &s : scenarios) {
         std::printf("%s:\n", s.label);
-        std::vector<double> scores;
-        for (const auto &name : paperDesignNames()) {
-            const ChipConfig cfg = paperDesign(name).withSmt(s.smt);
-            scores.push_back(eng.distributionStp(cfg, *s.dist, true));
-            std::printf("  %-6s %8.3f\n", name.c_str(), scores.back());
-        }
+        const auto points = distributionPoints(
+            eng, paperConfigs(paperDesignNames(), s.smt), *s.dist, true);
+        for (const DistributionPoint &p : points)
+            std::printf("  %-6s %8.3f\n", p.design.c_str(), p.stp);
         std::printf("  best: %s (paper: %s)\n\n",
-                    paperDesignNames()[benchutil::argmax(scores)].c_str(),
+                    points[bestOf(points, &DistributionPoint::stp)]
+                        .design.c_str(),
                     s.paper_best);
     }
     return 0;

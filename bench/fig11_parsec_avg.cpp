@@ -12,36 +12,10 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "common/stats.h"
 #include "study/design_space.h"
-#include "workload/parsec.h"
+#include "study/figures.h"
 
 using namespace smtflex;
-
-namespace {
-
-const std::vector<std::string> kConfigs = {"4B", "8m", "20s", "1B6m",
-                                           "1B15s"};
-
-double
-avgSpeedup(StudyEngine &eng, const std::string &config_name, bool smt,
-           bool roi_only)
-{
-    std::vector<double> speedups;
-    for (const auto &bench : parsecBenchmarkNames()) {
-        // Baseline: 4 threads on 4B (with SMT enabled; 4 threads use one
-        // context per core either way).
-        const ParsecMetrics base = eng.parsec(paperDesign("4B"), bench, 4);
-        const double base_cycles =
-            roi_only ? base.roiCycles : base.totalCycles;
-        const ChipConfig cfg = paperDesign(config_name).withSmt(smt);
-        const double cycles = eng.bestParsecCycles(cfg, bench, roi_only);
-        speedups.push_back(base_cycles / cycles);
-    }
-    return harmonicMean(speedups);
-}
-
-} // namespace
 
 int
 main()
@@ -52,18 +26,19 @@ main()
                       "4B), best thread count per design");
     benchutil::printOptions(eng.options());
 
+    const std::vector<std::string> designs = {"4B", "8m", "20s", "1B6m",
+                                              "1B15s"};
     for (const bool roi_only : {true, false}) {
         std::printf("(%s)\n", roi_only ? "ROI only" : "whole program");
         for (const bool smt : {false, true}) {
             std::printf("  %s SMT:\n", smt ? "with" : "without");
-            std::vector<double> scores;
-            for (const auto &name : kConfigs) {
-                scores.push_back(avgSpeedup(eng, name, smt, roi_only));
-                std::printf("    %-6s %8.3f\n", name.c_str(),
-                            scores.back());
-            }
+            const auto speedups = parsecSpeedups(
+                eng, paperConfigs(designs, smt), roi_only);
+            for (const ParsecSpeedups &s : speedups)
+                std::printf("    %-6s %8.3f\n", s.design.c_str(), s.mean);
             std::printf("    best: %s\n",
-                        kConfigs[benchutil::argmax(scores)].c_str());
+                        speedups[bestOf(speedups, &ParsecSpeedups::mean)]
+                            .design.c_str());
         }
         std::printf("\n");
     }

@@ -13,38 +13,32 @@
 
 #include "bench/bench_util.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "workload/parsec.h"
 
 using namespace smtflex;
 
 namespace {
 
-const std::vector<std::string> kConfigs = {"4B", "8m", "20s", "1B6m",
-                                           "1B15s"};
-
 void
 table(StudyEngine &eng, bool roi_only)
 {
+    const auto speedups = parsecSpeedups(
+        eng, paperConfigs({"4B", "8m", "20s", "1B6m", "1B15s"}), roi_only);
     std::printf("(%s, SMT enabled)\n", roi_only ? "ROI only"
                                                 : "whole program");
     std::printf("%-14s", "benchmark");
-    for (const auto &name : kConfigs)
-        std::printf("%9s", name.c_str());
+    for (const ParsecSpeedups &s : speedups)
+        std::printf("%9s", s.design.c_str());
     std::printf("%9s\n", "best");
-    for (const auto &bench : parsecBenchmarkNames()) {
-        const ParsecMetrics base = eng.parsec(paperDesign("4B"), bench, 4);
-        const double base_cycles =
-            roi_only ? base.roiCycles : base.totalCycles;
-        std::printf("%-14s", bench.c_str());
-        std::vector<double> scores;
-        for (const auto &name : kConfigs) {
-            const double cycles =
-                eng.bestParsecCycles(paperDesign(name), bench, roi_only);
-            scores.push_back(base_cycles / cycles);
-            std::printf("%9.3f", scores.back());
-        }
-        std::printf("%9s\n",
-                    kConfigs[benchutil::argmax(scores)].c_str());
+    const auto &apps = parsecBenchmarkNames();
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        std::printf("%-14s", apps[a].c_str());
+        for (const ParsecSpeedups &s : speedups)
+            std::printf("%9.3f", s.apps[a]);
+        const std::size_t best = bestOf(
+            speedups, [a](const ParsecSpeedups &s) { return s.apps[a]; });
+        std::printf("%9s\n", speedups[best].design.c_str());
     }
     std::printf("\n");
 }

@@ -12,25 +12,9 @@
 
 #include "bench/bench_util.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 
 using namespace smtflex;
-
-namespace {
-
-double
-dynamicBest(StudyEngine &eng, std::uint32_t n, bool het, bool smt)
-{
-    double best = 0.0;
-    for (const auto &name : paperDesignNames()) {
-        const ChipConfig cfg = paperDesign(name).withSmt(smt);
-        const double stp = het ? eng.heterogeneousAt(cfg, n).stp
-                               : eng.homogeneousAt(cfg, n).stp;
-        best = std::max(best, stp);
-    }
-    return best;
-}
-
-} // namespace
 
 int
 main()
@@ -40,18 +24,20 @@ main()
                       "4B+SMT vs ideal (zero-overhead) dynamic multi-core");
     benchutil::printOptions(eng.options());
 
+    const auto counts = eng.sweepThreadCounts();
     for (const bool het : {false, true}) {
+        const DesignGrid smt = designGrid(eng, paperDesigns(), counts, het);
+        const DesignGrid dyn_smt = dynamicEnvelope(smt);
+        const DesignGrid dyn_nosmt = dynamicEnvelope(designGrid(
+            eng, paperConfigs(paperDesignNames(), false), counts, het));
         std::printf("(%s workloads)\n", het ? "heterogeneous"
                                             : "homogeneous");
         std::printf("%-8s %12s %14s %14s\n", "threads", "4B (SMT)",
                     "dynamic w/o SMT", "dynamic w/ SMT");
-        for (const std::uint32_t n : eng.sweepThreadCounts()) {
-            const double v4b = het
-                ? eng.heterogeneousAt(paperDesign("4B"), n).stp
-                : eng.homogeneousAt(paperDesign("4B"), n).stp;
-            std::printf("%-8u %12.3f %14.3f %14.3f\n", n, v4b,
-                        dynamicBest(eng, n, het, false),
-                        dynamicBest(eng, n, het, true));
+        for (std::size_t r = 0; r < counts.size(); ++r) {
+            std::printf("%-8u %12.3f %14.3f %14.3f\n", counts[r],
+                        smt.at(counts[r], "4B").stp,
+                        dyn_nosmt.rows[r][0].stp, dyn_smt.rows[r][0].stp);
         }
         std::printf("\n");
     }

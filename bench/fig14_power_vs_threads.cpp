@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "exec/parallel.h"
 #include "study/design_space.h"
 
 using namespace smtflex;
@@ -25,30 +24,13 @@ main()
                       "Chip power vs thread count (idle cores power gated)");
     benchutil::printOptions(eng.options());
 
-    std::printf("%-8s", "threads");
-    for (const auto &name : paperDesignNames())
-        std::printf("%9s", name.c_str());
-    std::printf("\n");
-    // The whole (thread count x design) grid is independent runs: flatten
-    // it through exec::map, then print in row order.
-    const auto counts = eng.sweepThreadCounts();
-    const auto &names = paperDesignNames();
-    const auto grid = exec::map(counts.size() * names.size(),
-                                [&](std::size_t i) {
-        const std::uint32_t n = counts[i / names.size()];
-        const auto &name = names[i % names.size()];
-        return eng.homogeneousAt(paperDesign(name), n).powerGatedW;
-    });
-    for (std::size_t r = 0; r < counts.size(); ++r) {
-        std::printf("%-8u", counts[r]);
-        for (std::size_t c = 0; c < names.size(); ++c)
-            std::printf("%9.1f", grid[r * names.size() + c]);
-        std::printf("\n");
-    }
+    const DesignGrid grid =
+        designGrid(eng, paperDesigns(), eng.sweepThreadCounts(), false);
+    benchutil::printGrid(grid, &RunMetrics::powerGatedW, 1);
 
-    const double p1 = eng.homogeneousAt(paperDesign("4B"), 1).powerGatedW;
-    const double p4 = eng.homogeneousAt(paperDesign("4B"), 4).powerGatedW;
-    const double p24 = eng.homogeneousAt(paperDesign("4B"), 24).powerGatedW;
+    const double p1 = grid.at(1, "4B").powerGatedW;
+    const double p4 = grid.at(4, "4B").powerGatedW;
+    const double p24 = grid.at(24, "4B").powerGatedW;
     std::printf("\n4B: %0.1fW at 1 thread, %0.1fW at 4, %0.1fW at 24 "
                 "(paper: ~17.3W, 42W, 46W)\n", p1, p4, p24);
     std::printf("SMT contexts 4->24 add %.1fW; waking cores 1->4 adds "

@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "metrics/metrics.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
 
 using namespace smtflex;
@@ -28,55 +28,33 @@ main()
     benchutil::printOptions(eng.options());
 
     const auto dist = uniformThreadCounts(eng.options().maxThreads);
-
-    struct Point
-    {
-        std::string name;
-        double stp, power, energy, edp;
-    };
-
     for (const bool het : {true, false}) {
         std::printf("(%s workloads)\n", het ? "heterogeneous"
                                             : "homogeneous");
-        std::vector<Point> points;
-        for (const auto &name : paperDesignNames()) {
-            const ChipConfig cfg = paperDesign(name);
-            const double stp = eng.distributionStp(cfg, dist, het);
-            const double power = eng.distributionPower(cfg, dist, het);
-            points.push_back({name, stp, power, power / stp,
-                              energyDelayProduct(power, stp)});
-        }
+        const auto points =
+            distributionPoints(eng, paperDesigns(), dist, het);
 
         std::printf("%-8s %12s %10s %16s %12s\n", "design", "throughput",
                     "power(W)", "energy/work", "EDP");
-        for (const auto &p : points)
+        for (const DistributionPoint &p : points)
             std::printf("%-8s %12.3f %10.1f %16.2f %12.2f\n",
-                        p.name.c_str(), p.stp, p.power, p.energy, p.edp);
+                        p.design.c_str(), p.stp, p.powerW, p.energyPerWork,
+                        p.edp);
 
-        // Pareto frontier on (performance up, power down).
         std::printf("\nPareto-optimal (power vs performance): ");
-        for (const auto &p : points) {
-            bool dominated = false;
-            for (const auto &q : points)
-                dominated |= q.stp > p.stp && q.power < p.power;
-            if (!dominated)
-                std::printf("%s ", p.name.c_str());
+        for (const DistributionPoint &p : points) {
+            if (p.pareto)
+                std::printf("%s ", p.design.c_str());
         }
         std::printf("\n");
 
-        std::size_t best_edp = 0;
-        for (std::size_t i = 1; i < points.size(); ++i)
-            if (points[i].edp < points[best_edp].edp)
-                best_edp = i;
-        double edp_4b = 0.0;
-        for (const auto &p : points)
-            if (p.name == "4B")
-                edp_4b = p.edp;
+        const DistributionPoint &best =
+            points[bestOf(points, &DistributionPoint::minEdp)];
+        const double edp_4b = byDesign(points, "4B").edp;
         std::printf("Minimum-EDP design: %s, improving EDP by %.1f%% over "
                     "4B (paper: 3B5s, %.1f%%)\n\n",
-                    points[best_edp].name.c_str(),
-                    100.0 * (edp_4b - points[best_edp].edp) / edp_4b,
-                    het ? 1.8 : 4.1);
+                    best.design.c_str(),
+                    100.0 * (edp_4b - best.edp) / edp_4b, het ? 1.8 : 4.1);
     }
     return 0;
 }

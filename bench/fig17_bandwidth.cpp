@@ -11,11 +11,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "exec/parallel.h"
-#include "common/stats.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
-#include "workload/parsec.h"
 
 using namespace smtflex;
 
@@ -32,48 +30,29 @@ main()
     for (const bool het : {false, true}) {
         std::printf("(multi-program, %s workloads, SMT everywhere)\n",
                     het ? "heterogeneous" : "homogeneous");
-        const std::vector<double> scores =
-            exec::mapItems(paperDesignNames(), [&](const auto &name) {
-                return eng.distributionStp(paperDesign(name), dist, het);
-            });
-        double v4b = 0.0;
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-            if (paperDesignNames()[i] == "4B")
-                v4b = scores[i];
-            std::printf("  %-6s %8.3f\n", paperDesignNames()[i].c_str(),
-                        scores[i]);
-        }
-        const std::size_t best = benchutil::argmax(scores);
+        const auto points =
+            distributionPoints(eng, paperDesigns(), dist, het);
+        for (const DistributionPoint &p : points)
+            std::printf("  %-6s %8.3f\n", p.design.c_str(), p.stp);
+        const DistributionPoint &best =
+            points[bestOf(points, &DistributionPoint::stp)];
         std::printf("  best: %s; 4B at %.1f%% of best (paper: within "
                     "~0.4-0.8%%)\n\n",
-                    paperDesignNames()[best].c_str(),
-                    100.0 * v4b / scores[best]);
+                    best.design.c_str(),
+                    100.0 * byDesign(points, "4B").stp / best.stp);
     }
 
     // PARSEC ROI-only and whole-program at 16 GB/s.
     for (const bool roi : {true, false}) {
         std::printf("(PARSEC, %s, SMT)\n", roi ? "ROI only"
                                                : "whole program");
-        const std::vector<std::string> configs = {"4B", "8m", "20s",
-                                                  "1B6m", "1B15s"};
-        const std::vector<double> scores =
-            exec::mapItems(configs, [&](const auto &name) {
-                std::vector<double> speedups;
-                for (const auto &bench : parsecBenchmarkNames()) {
-                    const ParsecMetrics base =
-                        eng.parsec(paperDesign("4B"), bench, 4);
-                    const double base_cycles =
-                        roi ? base.roiCycles : base.totalCycles;
-                    speedups.push_back(
-                        base_cycles /
-                        eng.bestParsecCycles(paperDesign(name), bench, roi));
-                }
-                return harmonicMean(speedups);
-            });
-        for (std::size_t i = 0; i < scores.size(); ++i)
-            std::printf("  %-6s %8.3f\n", configs[i].c_str(), scores[i]);
+        const auto speedups = parsecSpeedups(
+            eng, paperConfigs({"4B", "8m", "20s", "1B6m", "1B15s"}), roi);
+        for (const ParsecSpeedups &s : speedups)
+            std::printf("  %-6s %8.3f\n", s.design.c_str(), s.mean);
         std::printf("  best: %s\n\n",
-                    configs[benchutil::argmax(scores)].c_str());
+                    speedups[bestOf(speedups, &ParsecSpeedups::mean)]
+                        .design.c_str());
     }
     return 0;
 }

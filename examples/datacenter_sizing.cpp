@@ -16,9 +16,8 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "metrics/metrics.h"
 #include "study/design_space.h"
-#include "study/study_engine.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
 
 using namespace smtflex;
@@ -61,21 +60,12 @@ main(int argc, char **argv)
     std::printf("%-8s %12s %10s %14s %10s\n", "design", "throughput",
                 "power(W)", "energy/work", "EDP");
 
-    std::string best_name;
-    double best_edp = 0.0;
-    for (const auto &name : paperDesignNames()) {
-        const ChipConfig cfg = paperDesign(name);
-        const double stp = eng.distributionStp(cfg, dist, true);
-        const double power = eng.distributionPower(cfg, dist, true);
-        const double edp = energyDelayProduct(power, stp);
-        std::printf("%-8s %12.3f %10.1f %14.2f %10.2f\n", name.c_str(),
-                    stp, power, power / stp, edp);
-        if (best_name.empty() || edp < best_edp) {
-            best_name = name;
-            best_edp = edp;
-        }
-    }
+    const auto points = distributionPoints(eng, paperDesigns(), dist, true);
+    for (const DistributionPoint &p : points)
+        std::printf("%-8s %12.3f %10.1f %14.2f %10.2f\n", p.design.c_str(),
+                    p.stp, p.powerW, p.energyPerWork, p.edp);
     std::printf("\nbest energy-delay design for this cluster: %s\n",
-                best_name.c_str());
+                points[bestOf(points, &DistributionPoint::minEdp)]
+                    .design.c_str());
     return 0;
 }

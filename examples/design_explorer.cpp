@@ -13,10 +13,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "power/power_model.h"
 #include "study/design_space.h"
-#include "study/study_engine.h"
+#include "study/figures.h"
 #include "workload/distributions.h"
 
 using namespace smtflex;
@@ -72,23 +73,24 @@ main(int argc, char **argv)
     const std::uint32_t max_threads =
         std::min<std::uint32_t>(eng.options().maxThreads,
                                 cfg.totalContexts());
-    for (std::uint32_t n = 1; n <= max_threads; n += (n < 4 ? 1 : 4)) {
-        const double mine = eng.heterogeneousAt(cfg, n).stp;
-        const double v4b =
-            eng.heterogeneousAt(paperDesign("4B"), n).stp;
-        double best = 0.0;
-        for (const auto &name : paperDesignNames())
-            best = std::max(best,
-                            eng.heterogeneousAt(paperDesign(name), n).stp);
-        std::printf("%-8u %10.3f %10.3f %10.3f\n", n, mine, v4b, best);
+    std::vector<std::uint32_t> counts;
+    for (std::uint32_t n = 1; n <= max_threads; n += (n < 4 ? 1 : 4))
+        counts.push_back(n);
+    const DesignGrid grid =
+        designGrid(eng, {cfg, paperDesign("4B")}, counts, true);
+    const DesignGrid best =
+        dynamicEnvelope(designGrid(eng, paperDesigns(), counts, true));
+    for (std::size_t r = 0; r < counts.size(); ++r) {
+        std::printf("%-8u %10.3f %10.3f %10.3f\n", counts[r],
+                    grid.rows[r][0].stp, grid.rows[r][1].stp,
+                    best.rows[r][0].stp);
     }
 
     const auto dist = uniformThreadCounts(max_threads);
+    const auto full = uniformThreadCounts(eng.options().maxThreads);
     std::printf("\nuniform-distribution score: %.3f (4B: %.3f)\n",
-                eng.distributionStp(cfg, dist, true),
-                eng.distributionStp(paperDesign("4B"),
-                                    uniformThreadCounts(
-                                        eng.options().maxThreads),
-                                    true));
+                distributionPoints(eng, {cfg}, dist, true)[0].stp,
+                distributionPoints(eng, {paperDesign("4B")}, full,
+                                   true)[0].stp);
     return 0;
 }

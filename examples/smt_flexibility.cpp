@@ -8,14 +8,13 @@
  * Usage: smt_flexibility [max_threads]
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "study/design_space.h"
-#include "study/study_engine.h"
+#include "study/figures.h"
 
 using namespace smtflex;
 
@@ -34,24 +33,26 @@ main(int argc, char **argv)
         std::printf("%9s", name.c_str());
     std::printf("%10s %12s\n", "winner", "4B vs best");
 
+    std::vector<std::uint32_t> counts;
+    for (const std::uint32_t n : eng.sweepThreadCounts()) {
+        if (n <= max_threads)
+            counts.push_back(n);
+    }
+    const DesignGrid grid =
+        designGrid(eng, paperConfigs(designs), counts, false);
     double worst_ratio = 1.0;
     std::uint32_t worst_n = 1;
-    for (const std::uint32_t n : eng.sweepThreadCounts()) {
-        if (n > max_threads)
-            break;
-        std::vector<double> stp;
-        for (const auto &name : designs)
-            stp.push_back(eng.homogeneousAt(paperDesign(name), n).stp);
-        const std::size_t best = static_cast<std::size_t>(
-            std::max_element(stp.begin(), stp.end()) - stp.begin());
-        const double ratio = stp[0] / stp[best];
+    for (std::size_t r = 0; r < counts.size(); ++r) {
+        const auto &row = grid.rows[r];
+        const std::size_t best = bestOf(row, &RunMetrics::stp);
+        const double ratio = row[0].stp / row[best].stp;
         if (ratio < worst_ratio) {
             worst_ratio = ratio;
-            worst_n = n;
+            worst_n = counts[r];
         }
-        std::printf("%-8u", n);
-        for (const double v : stp)
-            std::printf("%9.3f", v);
+        std::printf("%-8u", counts[r]);
+        for (const RunMetrics &m : row)
+            std::printf("%9.3f", m.stp);
         std::printf("%10s %11.0f%%\n", designs[best].c_str(),
                     100.0 * ratio);
     }

@@ -237,13 +237,7 @@ sweepText(StudyEngine &engine, const SweepRequest &req)
     for (const std::uint32_t n : engine.sweepThreadCounts()) {
         if (n > cfg.totalContexts())
             break;
-        RunMetrics m;
-        if (!req.bench.empty())
-            m = engine.homogeneousBenchmarkAt(cfg, req.bench, n);
-        else if (req.het)
-            m = engine.heterogeneousAt(cfg, n);
-        else
-            m = engine.homogeneousAt(cfg, n);
+        const RunMetrics m = engine.sweepRow(cfg, req.bench, req.het, n);
         appendf(out, "%-8u %10.3f %10.2f %10.1f\n", n, m.stp, m.antt,
                 m.powerGatedW);
     }
@@ -264,12 +258,7 @@ sweepChunkRecords(StudyEngine &engine, const SweepRequest &req,
     for (const std::uint32_t n : rows) {
         if (n > cfg.totalContexts())
             continue;
-        if (!req.bench.empty())
-            engine.homogeneousBenchmarkAt(cfg, req.bench, n);
-        else if (req.het)
-            engine.heterogeneousAt(cfg, n);
-        else
-            engine.homogeneousAt(cfg, n);
+        engine.sweepRow(cfg, req.bench, req.het, n);
         const auto row_keys =
             engine.sweepRowCacheKeys(cfg, req.bench, req.het, n);
         keys.insert(keys.end(), row_keys.begin(), row_keys.end());

@@ -93,8 +93,8 @@ std::string isolatedText(StudyEngine &engine, const IsolatedRequest &req);
 std::string scheduleText(StudyEngine &engine, const ScheduleRequest &req);
 
 /**
- * Compute the sweep rows named by @p rows (same dispatch as sweepText:
- * bench / het / homogeneous) and collect the backing ResultCache records
+ * Compute the sweep rows named by @p rows (StudyEngine::sweepRow, as
+ * sweepText does) and collect the backing ResultCache records
  * — every row's multiprogram keys plus the isolated characterisation
  * keys. Rows beyond the design's context count are skipped, mirroring
  * sweepText's early stop. This is the unit of work a dist coordinator

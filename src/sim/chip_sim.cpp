@@ -132,7 +132,6 @@ ChipSim::flushCore(std::uint32_t i)
                 poweredCycles_[i] += count;
             core.skipTicks(count);
             ffCycles_ += count;
-            ++ffSpans_;
         }
     }
     wake_[i] = 0;

@@ -226,8 +226,6 @@ class ChipSim
     /** Per-core global cycles elided by fast-forward so far, summed over
      * cores (diagnostics). */
     Cycle fastForwardedCycles() const { return ffCycles_; }
-    /** Number of fast-forwarded sleep spans so far (diagnostics). */
-    std::uint64_t fastForwardSpans() const { return ffSpans_; }
 
     /** One thread's working set to warm (see warmAllCaches). */
     struct WarmSpec
@@ -317,7 +315,6 @@ class ChipSim
                         std::greater<>>
         wakeHeap_;
     Cycle ffCycles_ = 0;
-    std::uint64_t ffSpans_ = 0;
 
     /** Interval sampling state (0 interval = off). */
     Cycle samplingInterval_ = 0;

@@ -453,14 +453,6 @@ aggregate(const std::vector<RunMetrics> &runs)
 } // namespace
 
 RunMetrics
-StudyEngine::homogeneousBenchmarkAt(const ChipConfig &config,
-                                    const std::string &bench,
-                                    std::uint32_t n)
-{
-    return multiprogram(config, homogeneousWorkload(bench, n));
-}
-
-RunMetrics
 StudyEngine::homogeneousAt(const ChipConfig &config, std::uint32_t n)
 {
     // Build the offline table before fanning out: its construction is
@@ -469,7 +461,7 @@ StudyEngine::homogeneousAt(const ChipConfig &config, std::uint32_t n)
     offline();
     return aggregate(exec::mapItems(
         specBenchmarkNames(), [&](const std::string &bench) {
-            return homogeneousBenchmarkAt(config, bench, n);
+            return multiprogram(config, homogeneousWorkload(bench, n));
         }));
 }
 
@@ -489,41 +481,13 @@ StudyEngine::heterogeneousAt(const ChipConfig &config, std::uint32_t n)
         }));
 }
 
-double
-StudyEngine::distributionStp(const ChipConfig &config,
-                             const DiscreteDistribution &dist,
-                             bool heterogeneous_workloads)
+RunMetrics
+StudyEngine::sweepRow(const ChipConfig &config, const std::string &bench,
+                      bool het, std::uint32_t n)
 {
-    std::vector<double> stp, weights;
-    for (std::size_t n = 1; n <= dist.size(); ++n) {
-        const std::uint32_t sim_n =
-            nearestSweepCount(static_cast<std::uint32_t>(n));
-        const auto metrics = heterogeneous_workloads
-            ? heterogeneousAt(config, sim_n)
-            : homogeneousAt(config, sim_n);
-        stp.push_back(metrics.stp);
-        weights.push_back(dist.probability(n));
-    }
-    // STP is a rate: average with the weighted harmonic mean.
-    return weightedHarmonicMean(stp, weights);
-}
-
-double
-StudyEngine::distributionPower(const ChipConfig &config,
-                               const DiscreteDistribution &dist,
-                               bool heterogeneous_workloads)
-{
-    std::vector<double> power, weights;
-    for (std::size_t n = 1; n <= dist.size(); ++n) {
-        const std::uint32_t sim_n =
-            nearestSweepCount(static_cast<std::uint32_t>(n));
-        const auto metrics = heterogeneous_workloads
-            ? heterogeneousAt(config, sim_n)
-            : homogeneousAt(config, sim_n);
-        power.push_back(metrics.powerGatedW);
-        weights.push_back(dist.probability(n));
-    }
-    return weightedArithmeticMean(power, weights);
+    if (!bench.empty())
+        return multiprogram(config, homogeneousWorkload(bench, n));
+    return het ? heterogeneousAt(config, n) : homogeneousAt(config, n);
 }
 
 ParsecMetrics

@@ -3,7 +3,7 @@
  * The experiment driver that regenerates the paper's evaluation: it runs
  * (and memoises) isolated characterisation runs, multi-program workloads
  * with the offline scheduling methodology, PARSEC application runs, and the
- * aggregations over thread-count distributions.
+ * per-thread-count sweep rows the figures (study/figures.h) aggregate.
  */
 
 #ifndef SMTFLEX_STUDY_STUDY_ENGINE_H
@@ -166,23 +166,15 @@ class StudyEngine
     /** Harmonic-mean STP over the heterogeneous mixes at @p n. */
     RunMetrics heterogeneousAt(const ChipConfig &config, std::uint32_t n);
 
-    /** STP for n copies of one benchmark (Fig. 4 per-benchmark curves). */
-    RunMetrics homogeneousBenchmarkAt(const ChipConfig &config,
-                                      const std::string &bench,
-                                      std::uint32_t n);
-
     /**
-     * Distribution-weighted STP: weighted harmonic mean of the per-thread-
-     * count STP under @p dist (Figs. 6-10).
+     * One sweep row at thread count @p n: n copies of @p bench when it is
+     * non-empty, else the heterogeneous mixes (@p het) or the 12
+     * homogeneous workloads. The sweep renderer, the dist chunks and the
+     * figure grids (study/figures.h) all select their rows here;
+     * sweepRowCacheKeys names the records a row reads.
      */
-    double distributionStp(const ChipConfig &config,
-                           const DiscreteDistribution &dist,
-                           bool heterogeneous_workloads);
-
-    /** Distribution-weighted average chip power (gated). */
-    double distributionPower(const ChipConfig &config,
-                             const DiscreteDistribution &dist,
-                             bool heterogeneous_workloads);
+    RunMetrics sweepRow(const ChipConfig &config, const std::string &bench,
+                        bool het, std::uint32_t n);
 
     // ---- online scheduling (smtflex::online; DESIGN.md §14) ----
 
@@ -231,11 +223,10 @@ class StudyEngine
     std::vector<std::string> isolationCacheKeys() const;
 
     /**
-     * Cache keys of the multiprogram records one sweep row at thread
-     * count @p n reads, mirroring the sweep dispatch exactly: @p bench
-     * non-empty = the single homogeneous workload of that benchmark,
-     * @p het = the heterogeneous mixes (one thread degenerates to the
-     * homogeneous suite), otherwise the 12 homogeneous workloads.
+     * Cache keys of the multiprogram records sweepRow(config, bench, het,
+     * n) reads: the single homogeneous workload of @p bench, the
+     * heterogeneous mixes (one thread degenerates to the homogeneous
+     * suite), or the 12 homogeneous workloads.
      */
     std::vector<std::string> sweepRowCacheKeys(const ChipConfig &config,
                                                const std::string &bench,

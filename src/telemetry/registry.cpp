@@ -36,12 +36,6 @@ Snapshot::u64(const std::string &path) const
     return at(path).asU64();
 }
 
-double
-Snapshot::numeric(const std::string &path) const
-{
-    return at(path).numeric();
-}
-
 // ------------------------------------------------------------ path checks
 
 void

@@ -50,16 +50,14 @@ class Snapshot
   public:
     void set(std::string path, MetricValue value);
 
-    bool empty() const { return values_.empty(); }
     std::size_t size() const { return values_.size(); }
     bool contains(const std::string &path) const;
 
     /** Reading at @p path; fatal() naming the path when absent. */
     const MetricValue &at(const std::string &path) const;
 
-    /** Common typed reads (fatal() on absence or type mismatch). */
+    /** Counter reading at @p path (fatal() on absence or type mismatch). */
     std::uint64_t u64(const std::string &path) const;
-    double numeric(const std::string &path) const;
 
     /** Visit every reading in sorted path order. */
     template <typename F>

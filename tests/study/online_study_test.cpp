@@ -12,40 +12,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "study/online_study.h"
 #include "study/study_engine.h"
-#include "tests/common/temp_path.h"
+#include "tests/common/seed_cache.h"
 
 namespace smtflex {
 namespace {
 
 #ifdef SMTFLEX_SOURCE_DIR
 
-/** Copy the committed seed cache into the test's temp dir so store()
- * can never touch the source tree. */
-std::string
-privateCacheCopy()
-{
-    const std::string src =
-        std::string(SMTFLEX_SOURCE_DIR) + "/smtflex_cache.txt";
-    const std::string dst =
-        testTempPath("smtflex_online_study_cache") + ".txt";
-    std::ifstream in(src, std::ios::binary);
-    std::ofstream out(dst, std::ios::binary | std::ios::trunc);
-    out << in.rdbuf();
-    EXPECT_TRUE(in.good() || in.eof()) << src;
-    EXPECT_TRUE(out.good()) << dst;
-    return dst;
-}
-
 TEST(OnlineStudyTest, FigureReproducesFromSeedCacheAndBeatsNaive)
 {
     StudyOptions options; // the committed cache's identity: defaults
-    options.cachePath = privateCacheCopy();
+    options.cachePath = seedCacheCopy("smtflex_online_study_cache");
     StudyEngine engine(options);
     const std::size_t seeded = engine.resultCache().size();
     ASSERT_GT(seeded, std::size_t{0});
@@ -87,7 +69,7 @@ TEST(OnlineStudyTest, FigureReproducesFromSeedCacheAndBeatsNaive)
 TEST(OnlineStudyTest, FigureTextIsDeterministic)
 {
     StudyOptions options;
-    options.cachePath = privateCacheCopy();
+    options.cachePath = seedCacheCopy("smtflex_online_study_cache");
     StudyEngine first(options);
     StudyEngine second(options);
     const std::string text = onlineStudyText(first);

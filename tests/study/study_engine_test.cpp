@@ -14,6 +14,7 @@
 
 #include "common/log.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "study/study_engine.h"
 #include "trace/spec_profiles.h"
 #include "workload/distributions.h"
@@ -145,16 +146,19 @@ TEST(StudyEngineTest, PowerGatingSavesAtLowCounts)
 
 TEST(StudyEngineTest, DistributionStpIsWeightedHarmonicMean)
 {
+    // A figure's distribution point (study/figures.h) averages the sweep
+    // rows: STP by the weighted harmonic mean, power arithmetically.
     StudyEngine eng(fastOptions());
     const ChipConfig cfg = paperDesign("4B");
-    const double at1 = eng.homogeneousAt(cfg, 1).stp;
-    const double at2 = eng.homogeneousAt(cfg, 2).stp;
+    const RunMetrics at1 = eng.homogeneousAt(cfg, 1);
+    const RunMetrics at2 = eng.homogeneousAt(cfg, 2);
     const DiscreteDistribution dist({1.0, 1.0});
-    const double agg = eng.distributionStp(cfg, dist, false);
-    const double expected = 2.0 / (1.0 / at1 + 1.0 / at2);
-    EXPECT_NEAR(agg, expected, 1e-9);
-    EXPECT_GE(agg, std::min(at1, at2));
-    EXPECT_LE(agg, std::max(at1, at2));
+    const DistributionPoint p = distributionPoints(eng, {cfg}, dist, false)[0];
+    EXPECT_NEAR(p.stp, 2.0 / (1.0 / at1.stp + 1.0 / at2.stp), 1e-9);
+    EXPECT_GE(p.stp, std::min(at1.stp, at2.stp));
+    EXPECT_LE(p.stp, std::max(at1.stp, at2.stp));
+    EXPECT_NEAR(p.powerW, (at1.powerGatedW + at2.powerGatedW) / 2.0, 1e-9);
+    EXPECT_DOUBLE_EQ(p.energyPerWork, p.powerW / p.stp);
 }
 
 TEST(StudyEngineTest, HeterogeneousAtUsesBalancedMixes)

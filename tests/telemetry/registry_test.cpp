@@ -188,7 +188,7 @@ TEST(MetricRegistryTest, SnapshotMaterialisesScalarsButNotSeries)
     EXPECT_TRUE(snap.contains("chip.cycles"));
     EXPECT_FALSE(snap.contains("chip.ipc"));
     EXPECT_EQ(snap.u64("chip.cycles"), 9u);
-    EXPECT_DOUBLE_EQ(snap.numeric("chip.freq_ghz"), 2.5);
+    EXPECT_DOUBLE_EQ(snap.at("chip.freq_ghz").numeric(), 2.5);
     EXPECT_THROW(snap.at("chip.ipc"), FatalError);
 
     // The snapshot is a copy: later producer bumps do not retroact.

@@ -1,8 +1,9 @@
 /**
  * @file
  * Export the study's figure data as CSV files for external plotting
- * (matplotlib/gnuplot). Reads the same memoised cache the benches fill,
- * so after one full bench run this completes in seconds.
+ * (matplotlib/gnuplot). The rows come from study/figures.h, the same
+ * computation the benches print, through the memoised cache the benches
+ * fill, so after one full bench run this completes in seconds.
  *
  * Usage: export_figures [output_dir]
  *
@@ -20,10 +21,10 @@
 #include <string>
 
 #include "common/log.h"
-#include "metrics/metrics.h"
 #include "online/online_policy.h"
 #include "report/csv.h"
 #include "study/design_space.h"
+#include "study/figures.h"
 #include "study/online_study.h"
 #include "study/study_engine.h"
 #include "workload/distributions.h"
@@ -43,97 +44,59 @@ openOut(const std::string &dir, const std::string &name)
     return out;
 }
 
+/** One metric of @p grid as a threads x designs table. */
 void
-exportSweep(StudyEngine &eng, const std::string &dir, bool het)
+exportGrid(const std::string &dir, const std::string &name,
+           const DesignGrid &grid, double RunMetrics::*metric)
 {
-    auto out = openOut(dir, het ? "fig03_heterogeneous.csv"
-                                : "fig03_homogeneous.csv");
+    auto out = openOut(dir, name);
     std::vector<std::string> cols = {"threads"};
-    for (const auto &name : paperDesignNames())
-        cols.push_back(name);
+    cols.insert(cols.end(), grid.designs.begin(), grid.designs.end());
     CsvWriter csv(out, cols);
-    for (const std::uint32_t n : eng.sweepThreadCounts()) {
+    for (std::size_t r = 0; r < grid.counts.size(); ++r) {
         auto row = csv.beginRow();
-        row.add(static_cast<std::uint64_t>(n));
-        for (const auto &name : paperDesignNames()) {
-            const RunMetrics m = het
-                ? eng.heterogeneousAt(paperDesign(name), n)
-                : eng.homogeneousAt(paperDesign(name), n);
-            row.add(m.stp);
-        }
+        row.add(static_cast<std::uint64_t>(grid.counts[r]));
+        for (const RunMetrics &m : grid.rows[r])
+            row.add(m.*metric);
         row.done();
     }
 }
 
+/** The uniform-distribution scores, homogeneous and heterogeneous. */
 void
-exportAntt(StudyEngine &eng, const std::string &dir)
-{
-    auto out = openOut(dir, "fig05_antt.csv");
-    std::vector<std::string> cols = {"threads"};
-    for (const auto &name : paperDesignNames())
-        cols.push_back(name);
-    CsvWriter csv(out, cols);
-    for (const std::uint32_t n : eng.sweepThreadCounts()) {
-        auto row = csv.beginRow();
-        row.add(static_cast<std::uint64_t>(n));
-        for (const auto &name : paperDesignNames())
-            row.add(eng.homogeneousAt(paperDesign(name), n).antt);
-        row.done();
-    }
-}
-
-void
-exportUniform(StudyEngine &eng, const std::string &dir)
+exportUniform(const std::string &dir,
+              const std::vector<DistributionPoint> &homogeneous,
+              const std::vector<DistributionPoint> &heterogeneous)
 {
     auto out = openOut(dir, "fig08_uniform_smt.csv");
     CsvWriter csv(out, {"design", "homogeneous_stp", "heterogeneous_stp"});
-    const auto dist = uniformThreadCounts(eng.options().maxThreads);
-    for (const auto &name : paperDesignNames()) {
+    for (std::size_t i = 0; i < homogeneous.size(); ++i) {
         csv.beginRow()
-            .add(name)
-            .add(eng.distributionStp(paperDesign(name), dist, false))
-            .add(eng.distributionStp(paperDesign(name), dist, true))
+            .add(homogeneous[i].design)
+            .add(homogeneous[i].stp)
+            .add(heterogeneous[i].stp)
             .done();
     }
 }
 
+/** The power/energy points of both workload classes. */
 void
-exportPower(StudyEngine &eng, const std::string &dir)
-{
-    auto out = openOut(dir, "fig14_power.csv");
-    std::vector<std::string> cols = {"threads"};
-    for (const auto &name : paperDesignNames())
-        cols.push_back(name);
-    CsvWriter csv(out, cols);
-    for (const std::uint32_t n : eng.sweepThreadCounts()) {
-        auto row = csv.beginRow();
-        row.add(static_cast<std::uint64_t>(n));
-        for (const auto &name : paperDesignNames())
-            row.add(eng.homogeneousAt(paperDesign(name), n).powerGatedW);
-        row.done();
-    }
-}
-
-void
-exportPareto(StudyEngine &eng, const std::string &dir)
+exportPareto(const std::string &dir,
+             const std::vector<DistributionPoint> &homogeneous,
+             const std::vector<DistributionPoint> &heterogeneous)
 {
     auto out = openOut(dir, "fig15_pareto.csv");
     CsvWriter csv(out, {"design", "workloads", "throughput", "power_w",
                         "energy_per_work", "edp"});
-    const auto dist = uniformThreadCounts(eng.options().maxThreads);
     for (const bool het : {false, true}) {
-        for (const auto &name : paperDesignNames()) {
-            const double stp =
-                eng.distributionStp(paperDesign(name), dist, het);
-            const double power =
-                eng.distributionPower(paperDesign(name), dist, het);
+        for (const DistributionPoint &p : het ? heterogeneous : homogeneous) {
             csv.beginRow()
-                .add(name)
+                .add(p.design)
                 .add(std::string(het ? "heterogeneous" : "homogeneous"))
-                .add(stp)
-                .add(power)
-                .add(power / stp)
-                .add(energyDelayProduct(power, stp))
+                .add(p.stp)
+                .add(p.powerW)
+                .add(p.energyPerWork)
+                .add(p.edp)
                 .done();
         }
     }
@@ -174,12 +137,25 @@ main(int argc, char **argv)
     const std::string dir = argc > 1 ? argv[1] : ".";
     try {
         StudyEngine eng;
-        exportSweep(eng, dir, false);
-        exportSweep(eng, dir, true);
-        exportAntt(eng, dir);
-        exportUniform(eng, dir);
-        exportPower(eng, dir);
-        exportPareto(eng, dir);
+        const auto counts = eng.sweepThreadCounts();
+        const auto dist = uniformThreadCounts(eng.options().maxThreads);
+        const DesignGrid homogeneous =
+            designGrid(eng, paperDesigns(), counts, false);
+        const DesignGrid heterogeneous =
+            designGrid(eng, paperDesigns(), counts, true);
+        const auto uniform_homogeneous =
+            distributionPoints(eng, homogeneous, dist);
+        const auto uniform_heterogeneous =
+            distributionPoints(eng, heterogeneous, dist);
+        exportGrid(dir, "fig03_homogeneous.csv", homogeneous,
+                   &RunMetrics::stp);
+        exportGrid(dir, "fig03_heterogeneous.csv", heterogeneous,
+                   &RunMetrics::stp);
+        exportGrid(dir, "fig05_antt.csv", homogeneous, &RunMetrics::antt);
+        exportUniform(dir, uniform_homogeneous, uniform_heterogeneous);
+        exportGrid(dir, "fig14_power.csv", homogeneous,
+                   &RunMetrics::powerGatedW);
+        exportPareto(dir, uniform_homogeneous, uniform_heterogeneous);
         exportOnline(eng, dir);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "export_figures: %s\n", e.what());
