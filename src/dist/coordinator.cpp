@@ -11,31 +11,6 @@
 namespace smtflex {
 namespace dist {
 
-namespace {
-
-/** The sweep_chunk request for @p items (indices into @p rows). */
-serve::Json
-chunkRequest(const serve::SweepRequest &req,
-             const std::vector<std::uint32_t> &rows,
-             const std::vector<std::size_t> &items)
-{
-    serve::Json doc = serve::Json::object();
-    doc.set("op", serve::Json::string("sweep_chunk"));
-    doc.set("design", serve::Json::string(req.design));
-    doc.set("bench", serve::Json::string(req.bench));
-    doc.set("het", serve::Json::boolean(req.het));
-    doc.set("no_smt", serve::Json::boolean(req.noSmt));
-    if (req.hasBw)
-        doc.set("bw", serve::Json::number(req.bw));
-    serve::Json list = serve::Json::array();
-    for (const std::size_t item : items)
-        list.push(serve::Json::number(std::uint64_t{rows[item]}));
-    doc.set("rows", std::move(list));
-    return doc;
-}
-
-} // namespace
-
 serve::ServerOptions
 Coordinator::withExecutor(serve::ServerOptions options)
 {
@@ -85,13 +60,11 @@ Coordinator::storeRecords(const serve::Json &reply)
         return 0;
     ResultCache &cache = server_.engine().resultCache();
     std::uint64_t stored = 0;
-    for (const auto &member : reply.at("records").members()) {
-        std::vector<double> values;
-        for (const serve::Json &value : member.second.elements())
-            values.push_back(value.asNumber());
-        if (member.first.empty() || values.empty())
+    for (const auto &[key, values] :
+         serve::recordsFromJson(reply.at("records"))) {
+        if (key.empty() || values.empty())
             continue; // a malformed backend record is skippable noise
-        cache.store(member.first, values);
+        cache.store(key, values);
         ++stored;
     }
     if (stored != 0)
@@ -107,14 +80,11 @@ Coordinator::pullRecords(const std::vector<std::string> &keys,
     for (const std::size_t index : healthy) {
         if (missing.empty())
             break;
-        serve::Json doc = serve::Json::object();
-        doc.set("op", serve::Json::string("cache_pull"));
-        serve::Json list = serve::Json::array();
-        for (const auto &key : missing)
-            list.push(serve::Json::string(key));
-        doc.set("keys", std::move(list));
+        serve::Request pull;
+        pull.op = serve::Op::kCachePull;
+        pull.cachePull.keys = missing;
         try {
-            const serve::Json reply = pool_.at(index).call(doc);
+            const serve::Json reply = pool_.at(index).call(pull.toJson());
             stats_.recordsPulled.fetch_add(storeRecords(reply));
         } catch (const FatalError &) {
             continue; // an unreachable backend just cannot contribute
@@ -133,24 +103,16 @@ void
 Coordinator::pushRecords(const std::vector<std::string> &keys,
                          Backend &backend)
 {
-    serve::Json records = serve::Json::object();
-    std::size_t count = 0;
+    serve::Request push;
+    push.op = serve::Op::kCachePush;
     for (const auto &key : keys) {
-        if (const auto hit = server_.engine().resultCache().lookup(key)) {
-            serve::Json values = serve::Json::array();
-            for (const double v : *hit)
-                values.push(serve::Json::number(v));
-            records.set(key, std::move(values));
-            ++count;
-        }
+        if (const auto hit = server_.engine().resultCache().lookup(key))
+            push.cachePush.records.emplace_back(key, *hit);
     }
-    if (count == 0)
+    if (push.cachePush.records.empty())
         return;
-    serve::Json doc = serve::Json::object();
-    doc.set("op", serve::Json::string("cache_push"));
-    doc.set("records", std::move(records));
     try {
-        const serve::Json reply = backend.call(doc);
+        const serve::Json reply = backend.call(push.toJson());
         if (reply.has("stored"))
             stats_.recordsPushed.fetch_add(reply.at("stored").asU64());
     } catch (const FatalError &) {
@@ -201,9 +163,13 @@ Coordinator::shardRows(const serve::SweepRequest &req,
                         std::chrono::milliseconds(5));
                     continue;
                 }
+                serve::Request request;
+                request.op = serve::Op::kSweepChunk;
+                request.chunk.sweep = req;
+                for (const std::size_t item : chunk->items)
+                    request.chunk.rows.push_back(rows[item]);
                 try {
-                    const serve::Json reply = backend.call(
-                        chunkRequest(req, rows, chunk->items));
+                    const serve::Json reply = backend.call(request.toJson());
                     // Durability before completion: once the planner
                     // marks the chunk done, nobody will redo it — so
                     // storeRecords has already flushed its records.
@@ -236,13 +202,7 @@ Coordinator::coordinateSweep(const serve::SweepRequest &req)
     const ChipConfig cfg = serve::buildDesign(req.design, req.noSmt,
                                               req.hasBw, req.bw, false);
 
-    // The same row list sweepText will iterate.
-    std::vector<std::uint32_t> rows;
-    for (const std::uint32_t n : engine.sweepThreadCounts()) {
-        if (n > cfg.totalContexts())
-            break;
-        rows.push_back(n);
-    }
+    const std::vector<std::uint32_t> rows = engine.sweepRows(cfg);
 
     const auto missingKeys = [&] {
         std::vector<std::string> missing;
@@ -308,9 +268,7 @@ Coordinator::coordinateSweep(const serve::SweepRequest &req)
 serve::Json
 Coordinator::forward(const serve::Request &request)
 {
-    // The canonical key is a complete, defaults-filled request document
-    // — exactly what a backend expects on the wire.
-    const serve::Json doc = serve::Json::parse(request.canonicalKey());
+    const serve::Json doc = request.toJson();
     const std::size_t n = pool_.size();
     for (std::size_t attempt = 0; attempt < n; ++attempt) {
         const std::size_t index = rrNext_.fetch_add(1) % n;

@@ -1,5 +1,6 @@
 #include "commands.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <sstream>
@@ -234,9 +235,7 @@ sweepText(StudyEngine &engine, const SweepRequest &req)
     std::string out;
     appendf(out, "%-8s %10s %10s %10s\n", "threads", "STP", "ANTT",
             "power(W)");
-    for (const std::uint32_t n : engine.sweepThreadCounts()) {
-        if (n > cfg.totalContexts())
-            break;
+    for (const std::uint32_t n : engine.sweepRows(cfg)) {
         const RunMetrics m = engine.sweepRow(cfg, req.bench, req.het, n);
         appendf(out, "%-8u %10.3f %10.2f %10.1f\n", n, m.stp, m.antt,
                 m.powerGatedW);
@@ -244,7 +243,7 @@ sweepText(StudyEngine &engine, const SweepRequest &req)
     return out;
 }
 
-std::vector<std::pair<std::string, std::vector<double>>>
+CacheRecords
 sweepChunkRecords(StudyEngine &engine, const SweepRequest &req,
                   const std::vector<std::uint32_t> &rows)
 {
@@ -255,8 +254,10 @@ sweepChunkRecords(StudyEngine &engine, const SweepRequest &req,
     // Any computed row builds the full offline table as a side effect, so
     // the isolated characterisation records travel with every chunk.
     std::vector<std::string> keys = engine.isolationCacheKeys();
+    const std::vector<std::uint32_t> sweep_rows = engine.sweepRows(cfg);
     for (const std::uint32_t n : rows) {
-        if (n > cfg.totalContexts())
+        if (std::find(sweep_rows.begin(), sweep_rows.end(), n) ==
+            sweep_rows.end())
             continue;
         engine.sweepRow(cfg, req.bench, req.het, n);
         const auto row_keys =
@@ -264,7 +265,7 @@ sweepChunkRecords(StudyEngine &engine, const SweepRequest &req,
         keys.insert(keys.end(), row_keys.begin(), row_keys.end());
     }
 
-    std::vector<std::pair<std::string, std::vector<double>>> records;
+    CacheRecords records;
     std::unordered_set<std::string> seen;
     for (const auto &key : keys) {
         if (!seen.insert(key).second)

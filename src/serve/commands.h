@@ -23,6 +23,10 @@
 namespace smtflex {
 namespace serve {
 
+/** ResultCache records as (key, values) pairs: the payload of the
+ * sweep_chunk, cache_pull and cache_push ops. */
+using CacheRecords = std::vector<std::pair<std::string, std::vector<double>>>;
+
 /** Parameters of a `run` command (one multi-program simulation). */
 struct RunRequest
 {
@@ -96,14 +100,14 @@ std::string scheduleText(StudyEngine &engine, const ScheduleRequest &req);
  * Compute the sweep rows named by @p rows (StudyEngine::sweepRow, as
  * sweepText does) and collect the backing ResultCache records
  * — every row's multiprogram keys plus the isolated characterisation
- * keys. Rows beyond the design's context count are skipped, mirroring
- * sweepText's early stop. This is the unit of work a dist coordinator
- * shards: the caller re-renders text locally from the records, which is
- * what makes a coordinated sweep byte-identical to a single-node one.
+ * keys. Counts that are not rows of this sweep (StudyEngine::sweepRows:
+ * beyond the design's contexts, or off the simulated grid) are skipped.
+ * This is the unit of work a dist coordinator shards: the caller
+ * re-renders text locally from the records, which is what makes a
+ * coordinated sweep byte-identical to a single-node one.
  */
-std::vector<std::pair<std::string, std::vector<double>>>
-sweepChunkRecords(StudyEngine &engine, const SweepRequest &req,
-                  const std::vector<std::uint32_t> &rows);
+CacheRecords sweepChunkRecords(StudyEngine &engine, const SweepRequest &req,
+                               const std::vector<std::uint32_t> &rows);
 
 } // namespace serve
 } // namespace smtflex

@@ -147,7 +147,71 @@ fieldStringList(const Json &doc, const std::string &key)
     return out;
 }
 
+Json
+stringList(const std::vector<std::string> &items)
+{
+    Json list = Json::array();
+    for (const auto &item : items)
+        list.push(Json::string(item));
+    return list;
+}
+
+/** The fields `sweep` and `sweep_chunk` share, validated. */
+SweepRequest
+sweepFields(const Json &doc)
+{
+    SweepRequest sweep;
+    sweep.design = fieldString(doc, "design", sweep.design);
+    sweep.bench = fieldString(doc, "bench", "");
+    sweep.het = fieldBool(doc, "het", false);
+    sweep.noSmt = fieldBool(doc, "no_smt", false);
+    sweep.hasBw = doc.has("bw");
+    sweep.bw = fieldDouble(doc, "bw", sweep.bw);
+    validateSweep(sweep);
+    return sweep;
+}
+
+/** Write the fields sweepFields reads. */
+void
+setSweepFields(Json &doc, const SweepRequest &sweep)
+{
+    doc.set("design", Json::string(sweep.design));
+    doc.set("bench", Json::string(sweep.bench));
+    doc.set("het", Json::boolean(sweep.het));
+    doc.set("no_smt", Json::boolean(sweep.noSmt));
+    if (sweep.hasBw)
+        doc.set("bw", Json::number(sweep.bw));
+}
+
 } // namespace
+
+Json
+recordsToJson(const CacheRecords &records)
+{
+    Json doc = Json::object();
+    for (const auto &[key, values] : records) {
+        Json list = Json::array();
+        for (const double v : values)
+            list.push(Json::number(v));
+        doc.set(key, std::move(list));
+    }
+    return doc;
+}
+
+CacheRecords
+recordsFromJson(const Json &records)
+{
+    if (!records.isObject())
+        fatal("'records' must be an object of key -> value lists");
+    CacheRecords out;
+    for (const auto &[key, list] : records.members()) {
+        std::vector<double> values;
+        for (const Json &value : list.elements())
+            values.push_back(value.asNumber());
+        out.emplace_back(key, std::move(values));
+    }
+    return out;
+}
 
 std::uint64_t
 extractId(const Json &doc)
@@ -201,13 +265,7 @@ parseRequest(const Json &doc)
         validateRun(req.run);
     } else if (op == "sweep") {
         req.op = Op::kSweep;
-        req.sweep.design = fieldString(doc, "design", req.sweep.design);
-        req.sweep.bench = fieldString(doc, "bench", "");
-        req.sweep.het = fieldBool(doc, "het", false);
-        req.sweep.noSmt = fieldBool(doc, "no_smt", false);
-        req.sweep.hasBw = doc.has("bw");
-        req.sweep.bw = fieldDouble(doc, "bw", req.sweep.bw);
-        validateSweep(req.sweep);
+        req.sweep = sweepFields(doc);
     } else if (op == "isolated") {
         req.op = Op::kIsolated;
         req.isolated.benches = fieldStringList(doc, "benches");
@@ -224,26 +282,10 @@ parseRequest(const Json &doc)
         if (!doc.has("records"))
             fatal("cache_push: 'records' (key -> value-list object) "
                   "required");
-        const Json &records = doc.at("records");
-        if (!records.isObject())
-            fatal("cache_push: 'records' must be an object");
-        for (const auto &entry : records.members()) {
-            std::vector<double> values;
-            for (const Json &value : entry.second.elements())
-                values.push_back(value.asNumber());
-            req.cachePush.records.emplace_back(entry.first,
-                                               std::move(values));
-        }
+        req.cachePush.records = recordsFromJson(doc.at("records"));
     } else if (op == "sweep_chunk") {
         req.op = Op::kSweepChunk;
-        req.chunk.sweep.design =
-            fieldString(doc, "design", req.chunk.sweep.design);
-        req.chunk.sweep.bench = fieldString(doc, "bench", "");
-        req.chunk.sweep.het = fieldBool(doc, "het", false);
-        req.chunk.sweep.noSmt = fieldBool(doc, "no_smt", false);
-        req.chunk.sweep.hasBw = doc.has("bw");
-        req.chunk.sweep.bw = fieldDouble(doc, "bw", req.chunk.sweep.bw);
-        validateSweep(req.chunk.sweep);
+        req.chunk.sweep = sweepFields(doc);
         if (!doc.has("rows"))
             fatal("sweep_chunk: 'rows' (list of thread counts) required");
         for (const Json &row : doc.at("rows").elements()) {
@@ -275,27 +317,21 @@ parseRequest(const Json &doc)
     return req;
 }
 
-std::string
-Request::canonicalKey() const
+Json
+Request::toJson() const
 {
-    // Built from a canonical JSON rendering (sorted keys, defaults
-    // filled in), so any two requests for the same simulation — however
-    // spelled — share one key.
     Json doc = Json::object();
+    doc.set("op", Json::string(opName(op)));
     switch (op) {
       case Op::kPing:
+        doc.set("delay_ms", Json::number(delayMs));
+        break;
       case Op::kStats:
       case Op::kMetrics:
-      case Op::kCachePull:
-      case Op::kCachePush:
-        return std::string();
-      case Op::kRun: {
-        doc.set("op", Json::string("run"));
+        break;
+      case Op::kRun:
         doc.set("design", Json::string(run.design));
-        Json workload = Json::array();
-        for (const auto &bench : run.workload)
-            workload.push(Json::string(bench));
-        doc.set("workload", std::move(workload));
+        doc.set("workload", stringList(run.workload));
         doc.set("budget", Json::number(run.budget));
         doc.set("warmup", Json::number(run.warmup));
         doc.set("seed", Json::number(run.seed));
@@ -306,54 +342,59 @@ Request::canonicalKey() const
             doc.set("bw", Json::number(run.bw));
         doc.set("report", Json::string(run.report));
         break;
-      }
-      case Op::kSweep: {
-        doc.set("op", Json::string("sweep"));
-        doc.set("design", Json::string(sweep.design));
-        doc.set("bench", Json::string(sweep.bench));
-        doc.set("het", Json::boolean(sweep.het));
-        doc.set("no_smt", Json::boolean(sweep.noSmt));
-        if (sweep.hasBw)
-            doc.set("bw", Json::number(sweep.bw));
+      case Op::kSweep:
+        setSweepFields(doc, sweep);
         break;
-      }
-      case Op::kIsolated: {
-        doc.set("op", Json::string("isolated"));
-        Json benches = Json::array();
-        for (const auto &bench : isolated.benches)
-            benches.push(Json::string(bench));
-        doc.set("benches", std::move(benches));
+      case Op::kIsolated:
+        doc.set("benches", stringList(isolated.benches));
         break;
-      }
+      case Op::kCachePull:
+        doc.set("keys", stringList(cachePull.keys));
+        break;
+      case Op::kCachePush:
+        doc.set("records", recordsToJson(cachePush.records));
+        break;
       case Op::kSweepChunk: {
-        doc.set("op", Json::string("sweep_chunk"));
-        doc.set("design", Json::string(chunk.sweep.design));
-        doc.set("bench", Json::string(chunk.sweep.bench));
-        doc.set("het", Json::boolean(chunk.sweep.het));
-        doc.set("no_smt", Json::boolean(chunk.sweep.noSmt));
-        if (chunk.sweep.hasBw)
-            doc.set("bw", Json::number(chunk.sweep.bw));
+        setSweepFields(doc, chunk.sweep);
         Json rows = Json::array();
         for (const std::uint32_t n : chunk.rows)
             rows.push(Json::number(std::uint64_t{n}));
         doc.set("rows", std::move(rows));
         break;
       }
-      case Op::kSchedule: {
-        doc.set("op", Json::string("schedule"));
+      case Op::kSchedule:
         doc.set("design", Json::string(schedule.design));
-        Json benchmarks = Json::array();
-        for (const auto &bench : schedule.benchmarks)
-            benchmarks.push(Json::string(bench));
-        doc.set("benchmarks", std::move(benchmarks));
+        doc.set("benchmarks", stringList(schedule.benchmarks));
         doc.set("policy", Json::string(schedule.policy));
         doc.set("no_smt", Json::boolean(schedule.noSmt));
         if (schedule.hasBw)
             doc.set("bw", Json::number(schedule.bw));
         break;
-      }
     }
-    return doc.dump();
+    return doc;
+}
+
+std::string
+Request::canonicalKey() const
+{
+    // A canonical JSON rendering (sorted keys, defaults filled in), so
+    // any two requests for the same simulation — however spelled — share
+    // one key.
+    switch (op) {
+      case Op::kPing:
+      case Op::kStats:
+      case Op::kMetrics:
+      case Op::kCachePull:
+      case Op::kCachePush:
+        return std::string();
+      case Op::kRun:
+      case Op::kSweep:
+      case Op::kIsolated:
+      case Op::kSweepChunk:
+      case Op::kSchedule:
+        break;
+    }
+    return toJson().dump();
 }
 
 Json
@@ -400,18 +441,11 @@ answerLocally(StudyEngine &engine, const Request &request)
         body.set("output",
                  Json::string(scheduleText(engine, request.schedule)));
         return body;
-      case Op::kSweepChunk: {
-        Json records = Json::object();
-        for (const auto &[key, values] : sweepChunkRecords(
-                 engine, request.chunk.sweep, request.chunk.rows)) {
-            Json list = Json::array();
-            for (const double v : values)
-                list.push(Json::number(v));
-            records.set(key, std::move(list));
-        }
-        body.set("records", std::move(records));
+      case Op::kSweepChunk:
+        body.set("records",
+                 recordsToJson(sweepChunkRecords(engine, request.chunk.sweep,
+                                                 request.chunk.rows)));
         return body;
-      }
       case Op::kStats:
       case Op::kMetrics:
       case Op::kCachePull:

@@ -141,7 +141,7 @@ struct CachePullRequest
  * keep their wire order (canonical JSON: sorted by key). */
 struct CachePushRequest
 {
-    std::vector<std::pair<std::string, std::vector<double>>> records;
+    CacheRecords records;
 };
 
 /** Parameters of a `sweep_chunk`: a slice of a sweep's thread-count grid
@@ -169,9 +169,17 @@ struct Request
     ScheduleRequest schedule;
 
     /**
+     * The request document with every default filled in and without
+     * id/deadline: parseRequest reads it back into an equal request.
+     * The dist coordinator sends backends its requests in this form.
+     */
+    Json toJson() const;
+
+    /**
      * Canonical identity of the simulation this request asks for, used
      * for coalescing identical in-flight requests and memoising
-     * responses. Empty for ping/stats/metrics — and for the cache_pull/
+     * responses: toJson()'s text (JSON objects render in sorted key
+     * order). Empty for ping/stats/metrics — and for the cache_pull/
      * cache_push federation ops, which read or write mutable state and
      * must never be coalesced or cached. Excludes id/deadline: two
      * requests differing only in those fields share one simulation.
@@ -185,6 +193,18 @@ struct Request
  * benchmark names, and malformed integer fields.
  */
 Request parseRequest(const Json &doc);
+
+/** The wire form of ResultCache records, {key: [v, ...], ...}: the
+ * "records" member of cache_push requests and of sweep_chunk and
+ * cache_pull replies. */
+Json recordsToJson(const CacheRecords &records);
+
+/**
+ * Read a "records" member back, in key order. fatal() unless @p records
+ * is an object of number lists; records with an empty key or no values
+ * are returned as they are, for the caller's policy.
+ */
+CacheRecords recordsFromJson(const Json &records);
 
 /** Best-effort id extraction from a possibly invalid request document,
  * so error replies can still be correlated. Returns 0 when absent. */

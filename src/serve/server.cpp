@@ -556,19 +556,15 @@ Json
 Server::cachePullBody(const CachePullRequest &req)
 {
     Json body = makeResponse(Op::kCachePull);
-    Json records = Json::object();
+    CacheRecords records;
     std::uint64_t misses = 0;
     for (const auto &key : req.keys) {
-        if (const auto hit = engine_.resultCache().lookup(key)) {
-            Json values = Json::array();
-            for (const double v : *hit)
-                values.push(Json::number(v));
-            records.set(key, std::move(values));
-        } else {
+        if (const auto hit = engine_.resultCache().lookup(key))
+            records.emplace_back(key, *hit);
+        else
             ++misses;
-        }
     }
-    body.set("records", std::move(records));
+    body.set("records", recordsToJson(records));
     body.set("misses", Json::number(misses));
     return body;
 }

@@ -56,6 +56,13 @@ StudyOptions::fromEnv()
     opts.fullSweep = envFlag("SMTFLEX_FULLSWEEP", opts.fullSweep);
     if (opts.budget == 0 || opts.hetMixes == 0)
         fatal("StudyOptions: budget and mixes must be positive");
+    // Every sweep has heterogeneous 5- and 7-thread rows, whose mixes
+    // draw each benchmark equally often only for such a mix count.
+    const std::size_t benchmarks = specBenchmarkNames().size();
+    if (opts.hetMixes % benchmarks != 0)
+        fatal("SMTFLEX_MIXES=", opts.hetMixes, ": the mix count must be a "
+              "multiple of ", benchmarks, " to balance the ", benchmarks,
+              " benchmarks in 5- and 7-thread mixes");
     return opts;
 }
 
@@ -81,6 +88,18 @@ StudyEngine::sweepThreadCounts() const
     return counts;
 }
 
+std::vector<std::uint32_t>
+StudyEngine::sweepRows(const ChipConfig &config) const
+{
+    std::vector<std::uint32_t> rows;
+    for (const std::uint32_t n : sweepThreadCounts()) {
+        if (n > config.totalContexts())
+            break;
+        rows.push_back(n);
+    }
+    return rows;
+}
+
 std::uint32_t
 StudyEngine::nearestSweepCount(std::uint32_t n) const
 {
@@ -98,6 +117,13 @@ StudyEngine::keyPrefix(const ChipConfig &config) const
        << options_.bandwidthGBps << ";b" << options_.budget << ";w"
        << options_.warmup << ";s" << options_.seed;
     return os.str();
+}
+
+std::string
+StudyEngine::multiprogramKey(const ChipConfig &config,
+                             const MultiProgramWorkload &workload) const
+{
+    return "mp;" + keyPrefix(config) + ";" + workload.name;
 }
 
 std::string
@@ -127,18 +153,9 @@ StudyEngine::sweepRowCacheKeys(const ChipConfig &config,
                                const std::string &bench, bool het,
                                std::uint32_t n) const
 {
-    const std::string prefix = "mp;" + keyPrefix(config) + ";";
     std::vector<std::string> keys;
-    if (!bench.empty()) {
-        keys.push_back(prefix + homogeneousWorkload(bench, n).name);
-    } else if (het && n > 1) {
-        for (const auto &mix :
-             heterogeneousWorkloads(n, options_.hetMixes, options_.seed))
-            keys.push_back(prefix + mix.name);
-    } else {
-        for (const auto &b : specBenchmarkNames())
-            keys.push_back(prefix + homogeneousWorkload(b, n).name);
-    }
+    for (const auto &workload : sweepRowWorkloads(bench, het, n))
+        keys.push_back(multiprogramKey(config, workload));
     return keys;
 }
 
@@ -271,7 +288,7 @@ RunMetrics
 StudyEngine::multiprogram(const ChipConfig &config,
                           const MultiProgramWorkload &workload)
 {
-    const std::string key = "mp;" + keyPrefix(config) + ";" + workload.name;
+    const std::string key = multiprogramKey(config, workload);
     if (const auto hit = cache_.lookup(key))
         return decodeRunMetrics(key, *hit);
     const RunMetrics m = runMultiprogramUncached(config, workload);
@@ -455,39 +472,48 @@ aggregate(const std::vector<RunMetrics> &runs)
 RunMetrics
 StudyEngine::homogeneousAt(const ChipConfig &config, std::uint32_t n)
 {
-    // Build the offline table before fanning out: its construction is
-    // itself a parallel region, and prebuilding it means every parallel
-    // workload run below hits the memoised table.
-    offline();
-    return aggregate(exec::mapItems(
-        specBenchmarkNames(), [&](const std::string &bench) {
-            return multiprogram(config, homogeneousWorkload(bench, n));
-        }));
+    return sweepRow(config, "", false, n);
 }
 
 RunMetrics
 StudyEngine::heterogeneousAt(const ChipConfig &config, std::uint32_t n)
 {
-    if (n == 1) {
-        // A 1-thread "mix" is a single program; balanced sampling over the
-        // 12 benchmarks is exactly one run of each.
-        return homogeneousAt(config, 1);
-    }
-    offline();
-    return aggregate(exec::mapItems(
-        heterogeneousWorkloads(n, options_.hetMixes, options_.seed),
-        [&](const MultiProgramWorkload &mix) {
-            return multiprogram(config, mix);
-        }));
+    return sweepRow(config, "", true, n);
+}
+
+std::vector<MultiProgramWorkload>
+StudyEngine::sweepRowWorkloads(const std::string &bench, bool het,
+                               std::uint32_t n) const
+{
+    if (!bench.empty())
+        return {homogeneousWorkload(bench, n)};
+    if (het && n > 1)
+        return heterogeneousWorkloads(n, options_.hetMixes, options_.seed);
+    // A 1-thread "mix" is a single program; balanced sampling over the 12
+    // benchmarks is exactly one run of each.
+    std::vector<MultiProgramWorkload> workloads;
+    for (const auto &b : specBenchmarkNames())
+        workloads.push_back(homogeneousWorkload(b, n));
+    return workloads;
 }
 
 RunMetrics
 StudyEngine::sweepRow(const ChipConfig &config, const std::string &bench,
                       bool het, std::uint32_t n)
 {
+    const auto workloads = sweepRowWorkloads(bench, het, n);
+    // A single benchmark's row is its record itself (a mean over one
+    // record would not be bit-identical, and would drop hitLimit).
     if (!bench.empty())
-        return multiprogram(config, homogeneousWorkload(bench, n));
-    return het ? heterogeneousAt(config, n) : homogeneousAt(config, n);
+        return multiprogram(config, workloads.front());
+    // Build the offline table before fanning out: its construction is
+    // itself a parallel region, and prebuilding it means every parallel
+    // workload run below hits the memoised table.
+    offline();
+    return aggregate(exec::mapItems(
+        workloads, [&](const MultiProgramWorkload &workload) {
+            return multiprogram(config, workload);
+        }));
 }
 
 ParsecMetrics

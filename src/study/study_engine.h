@@ -139,6 +139,11 @@ class StudyEngine
     /** Thread counts simulated by the sweeps (see StudyOptions::fullSweep). */
     std::vector<std::uint32_t> sweepThreadCounts() const;
 
+    /** The rows of a sweep on @p config: the sweepThreadCounts() that fit
+     * its hardware contexts. The sweep renderer, the sweep_chunk op and
+     * the dist coordinator all iterate these. */
+    std::vector<std::uint32_t> sweepRows(const ChipConfig &config) const;
+
     /** The simulated count representing thread count @p n. */
     std::uint32_t nearestSweepCount(std::uint32_t n) const;
 
@@ -222,12 +227,8 @@ class StudyEngine
      * the offline table (and the normalisation of every workload run). */
     std::vector<std::string> isolationCacheKeys() const;
 
-    /**
-     * Cache keys of the multiprogram records sweepRow(config, bench, het,
-     * n) reads: the single homogeneous workload of @p bench, the
-     * heterogeneous mixes (one thread degenerates to the homogeneous
-     * suite), or the 12 homogeneous workloads.
-     */
+    /** Cache keys of the multiprogram records sweepRow(config, bench,
+     * het, n) reads, one per workload of the row. */
     std::vector<std::string> sweepRowCacheKeys(const ChipConfig &config,
                                                const std::string &bench,
                                                bool het,
@@ -235,6 +236,18 @@ class StudyEngine
 
   private:
     std::string keyPrefix(const ChipConfig &config) const;
+    std::string multiprogramKey(const ChipConfig &config,
+                                const MultiProgramWorkload &workload) const;
+    /**
+     * The workloads of sweep row (@p bench, @p het, @p n): n copies of
+     * @p bench when it is non-empty, else the heterogeneous mixes (@p het;
+     * one thread degenerates to the homogeneous suite) or the 12
+     * homogeneous workloads. sweepRow runs them and sweepRowCacheKeys
+     * names their records.
+     */
+    std::vector<MultiProgramWorkload>
+    sweepRowWorkloads(const std::string &bench, bool het,
+                      std::uint32_t n) const;
     std::string isolationKey(const std::string &bench, CoreType type) const;
     RunMetrics runMultiprogramUncached(const ChipConfig &config,
                                        const MultiProgramWorkload &workload);

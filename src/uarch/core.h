@@ -1,8 +1,10 @@
 /**
  * @file
  * Base class of the cycle-level core models: SMT context bookkeeping,
- * in-order retirement, clock-domain conversion, and statistics. The
- * out-of-order (OooCore) and in-order (InOrderCore) models derive from it.
+ * in-order retirement, the in-order issue stage, clock-domain conversion,
+ * and statistics. The out-of-order (OooCore) and in-order (InOrderCore)
+ * models derive from it; MorphCore switches between OooCore's cycle and
+ * the in-order issue stage.
  */
 
 #ifndef SMTFLEX_UARCH_CORE_H
@@ -191,6 +193,11 @@ class Core : public telemetry::StatsProvider<CoreStats>
     /** Largest context count the 32-bit occupancy masks can hold. */
     static constexpr std::uint32_t kMaxContexts = 32;
 
+    /** Ops an in-order pipeline keeps in flight per context: the
+     * retirement queue of an in-order core, and the part of its ROB a
+     * MorphCore uses in in-order mode. */
+    static constexpr std::uint32_t kInOrderWindow = 16;
+
     /**
      * The set bits of @p mask in round-robin order from bit @p first:
      * first, first + 1, ..., then the bits below first. Pop them lowest
@@ -239,6 +246,14 @@ class Core : public telemetry::StatsProvider<CoreStats>
     /** Push an op into @p ctx's retirement queue. */
     void pushInFlight(Context &ctx, Cycle completion);
 
+    /**
+     * The in-order issue stage (InOrderCore, and MorphCore in in-order
+     * mode): barrel scheduling that rotates every core cycle; the first
+     * ready context with a thread attached issues up to `width` ops, in
+     * order, with at most kInOrderWindow of them in flight.
+     */
+    void issueInOrder();
+
     /** ROB partition size given current active contexts (>= 4). */
     std::uint32_t robPartitionSize() const { return robPartition_; }
 
@@ -279,6 +294,10 @@ class Core : public telemetry::StatsProvider<CoreStats>
   private:
     /** Recount the attached threads after a context's thread changed. */
     void countActiveContexts();
+
+    /** Issue up to `width` ops from @p ctx this cycle (issueInOrder's
+     * issue group). @return number of ops issued. */
+    std::uint32_t issueInOrderFrom(Context &ctx);
 
     /** Contexts with a thread attached, and the ROB partition it gives:
      * kept by attach and detach. */

@@ -3,7 +3,7 @@
  * In-order core model with fine-grained multithreading (the paper's small
  * core: 2-wide in-order, up to 2 hardware threads).
  *
- * Cycle behaviour:
+ * Cycle behaviour (the in-order issue stage, Core::issueInOrder):
  *  - one context issues per core cycle (barrel-style fine-grained MT);
  *    stalled contexts yield their slot to the other context;
  *  - dual issue of independent ops subject to functional units;
@@ -33,11 +33,6 @@ class InOrderCore : public Core
   protected:
     void coreCycle() override;
     void onSkippedCoreCycles(Cycle core_cycles) override;
-
-  private:
-    /** Issue up to `width` ops from @p ctx this cycle.
-     * @return number of ops issued. */
-    std::uint32_t issueFrom(Context &ctx);
 };
 
 } // namespace smtflex

@@ -5,18 +5,20 @@
  * that morphs into a many-threaded in-order core when the demand for
  * thread-level parallelism is high.
  *
- * Model: with few active threads (<= oooThreadLimit) the core behaves as
- * the configured out-of-order core; with more, it switches to in-order
- * barrel execution across all contexts (wide SMT in-order). Switching
- * drains the pipeline (a fixed penalty). The paper argues SMT on a big
- * core achieves much of this flexibility without the mode machinery —
- * bench_ext_morphcore measures the comparison.
+ * Model: a mode controller over the two pipelines. With few active
+ * threads (<= oooThreadLimit) the core runs OooCore's cycle on the
+ * configured out-of-order personality; with more, it runs the in-order
+ * issue stage (Core::issueInOrder, barrel execution across all contexts:
+ * wide SMT in-order). Switching drains the pipeline (a fixed penalty).
+ * The paper argues SMT on a big core achieves much of this flexibility
+ * without the mode machinery — bench_ext_morphcore measures the
+ * comparison.
  */
 
 #ifndef SMTFLEX_UARCH_MORPH_CORE_H
 #define SMTFLEX_UARCH_MORPH_CORE_H
 
-#include "uarch/core.h"
+#include "uarch/ooo_core.h"
 
 namespace smtflex {
 
@@ -33,7 +35,7 @@ struct MorphParams
  * A core that switches between out-of-order and in-order-SMT operation
  * based on the number of active threads.
  */
-class MorphCore : public Core
+class MorphCore : public OooCore
 {
   public:
     /** @param params the out-of-order personality (big/medium core);
@@ -47,34 +49,21 @@ class MorphCore : public Core
     /** Number of mode switches so far. */
     std::uint64_t modeSwitches() const { return modeSwitches_; }
 
-    Cycle nextEventCycle(Cycle global_now) override;
+    /** No fast-forward analysis of the modes and switches: every cycle
+     * is ticked. */
+    Cycle nextEventCycle(Cycle global_now) override
+    {
+        return Core::nextEventCycle(global_now);
+    }
 
   protected:
     void coreCycle() override;
-    void onSkippedCoreCycles(Cycle core_cycles) override;
 
   private:
-    void oooCycle();
-    void inOrderCycle();
-    std::uint32_t issueInOrderFrom(Context &ctx);
-
-    Cycle nextEventOoo(Cycle global_now);
-    Cycle nextEventInOrder(Cycle global_now);
-
-    bool fuAvailable(OpClass cls) const;
-    void consumeFu(OpClass cls);
-    void resetFuBudgets();
-
     MorphParams morph_;
     bool oooMode_ = true;
     Cycle stallUntilSwitch_ = 0;
     std::uint64_t modeSwitches_ = 0;
-    std::uint32_t fuLeft_[kNumOpClasses] = {};
-
-    /** Stall-accrual counts cached by nextEventCycle for the immediately
-     * following skipTicks (see OooCore). */
-    std::uint64_t skipRobStallContexts_ = 0;
-    std::uint64_t skipMshrStallContexts_ = 0;
 };
 
 } // namespace smtflex

@@ -1,5 +1,10 @@
-# Replay one figure binary from the committed seed cache and compare its
-# output byte for byte with the recorded golden files.
+# Run one figure binary over the committed seed cache and compare its
+# output byte for byte with the recorded golden files. Most figure benches
+# replay every result from the cache; ext_morphcore, ext_acs_throttling
+# and the fetch-policy, NoC and prefetch ablations simulate their cores or
+# chips directly, outside the result cache, and are deterministic too.
+# bench_ablation_scheduling has no golden: it simulates for minutes at the
+# default budget.
 #
 #   cmake -DBIN=<binary> -DSEED=<smtflex_cache.txt> -DWORK=<scratch dir>
 #         -DGOLDEN=<golden dir> -P run_golden.cmake
@@ -7,8 +12,8 @@
 # The binary runs in WORK over a fresh copy of SEED with every SMTFLEX_*
 # variable unset, so it sees the study's defaults and the cache's identity.
 # Every file in GOLDEN must equal its namesake in WORK: stdout.txt is the
-# binary's stdout, any other file one it wrote. A replay that simulates
-# anything fails too: it would append a shard segment next to the copy.
+# binary's stdout, any other file one it wrote. A run that stores a result
+# in the cache fails too: it would append a shard segment next to the copy.
 
 foreach(var BIN SEED WORK GOLDEN)
     if(NOT DEFINED ${var})

@@ -345,13 +345,13 @@ TEST(StudyOptionsTest, EnvOverrides)
 {
     setenv("SMTFLEX_BUDGET", "1234", 1);
     setenv("SMTFLEX_WARMUP", "77", 1);
-    setenv("SMTFLEX_MIXES", "6", 1);
+    setenv("SMTFLEX_MIXES", "24", 1);
     setenv("SMTFLEX_SEED", "9", 1);
     setenv("SMTFLEX_CACHE", "/tmp/somewhere.txt", 1);
     const StudyOptions opts = StudyOptions::fromEnv();
     EXPECT_EQ(opts.budget, 1234u);
     EXPECT_EQ(opts.warmup, 77u);
-    EXPECT_EQ(opts.hetMixes, 6u);
+    EXPECT_EQ(opts.hetMixes, 24u);
     EXPECT_EQ(opts.seed, 9u);
     EXPECT_EQ(opts.cachePath, "/tmp/somewhere.txt");
     unsetenv("SMTFLEX_BUDGET");
@@ -359,6 +359,25 @@ TEST(StudyOptionsTest, EnvOverrides)
     unsetenv("SMTFLEX_MIXES");
     unsetenv("SMTFLEX_SEED");
     unsetenv("SMTFLEX_CACHE");
+}
+
+TEST(StudyOptionsTest, RejectsMixCountsThatCannotBalanceEveryRow)
+{
+    // 5-thread mixes balance the 12 benchmarks only in multiples of 12:
+    // such a count must fail at startup, not in the middle of a sweep.
+    for (const char *mixes : {"6", "18"}) {
+        setenv("SMTFLEX_MIXES", mixes, 1);
+        try {
+            StudyOptions::fromEnv();
+            ADD_FAILURE() << "SMTFLEX_MIXES=" << mixes << " accepted";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("SMTFLEX_MIXES=") + mixes),
+                      std::string::npos)
+                << what;
+        }
+    }
+    unsetenv("SMTFLEX_MIXES");
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/log.h"
@@ -33,22 +34,43 @@ morphPersonality()
 
 TEST(MorphCoreTest, StartsInOooModeAndStaysThereWithFewThreads)
 {
-    FixedLatencyMemory mem(40);
-    MorphCore core(morphPersonality(), MorphParams{}, 0, 8, &mem, 2.66);
-    ProfileThread t0(specProfile("hmmer"), 0, 1u << 30);
-    core.attachThread(0, &t0);
-    runCycles(core, 20000);
-    EXPECT_TRUE(core.inOooMode());
-    EXPECT_EQ(core.modeSwitches(), 0u);
-    // Single-thread performance matches an equivalent OoO core closely.
-    FixedLatencyMemory mem2(40);
-    OooCore ooo(morphPersonality(), 0, 8, &mem2, 2.66);
-    ProfileThread t1(specProfile("hmmer"), 0, 1u << 30);
-    ooo.attachThread(0, &t1);
-    runCycles(ooo, 20000);
-    EXPECT_NEAR(static_cast<double>(core.stats().retired),
-                static_cast<double>(ooo.stats().retired),
-                0.02 * static_cast<double>(ooo.stats().retired));
+    // At or below the thread limit MorphCore is its out-of-order
+    // personality cycle for cycle: every counter equals an OooCore's.
+    for (const char *bench : {"hmmer", "mcf"}) {
+        for (const std::uint32_t n : {1u, 2u}) {
+            SCOPED_TRACE(std::string(bench) + " x" + std::to_string(n));
+            FixedLatencyMemory mem(40);
+            MorphCore core(morphPersonality(), MorphParams{}, 0, 8, &mem,
+                           2.66);
+            FixedLatencyMemory mem2(40);
+            OooCore ooo(morphPersonality(), 0, 8, &mem2, 2.66);
+            std::vector<std::unique_ptr<ProfileThread>> threads;
+            for (std::uint32_t i = 0; i < n; ++i) {
+                threads.push_back(std::make_unique<ProfileThread>(
+                    specProfile(bench), i, 1u << 30));
+                core.attachThread(i, threads.back().get());
+                threads.push_back(std::make_unique<ProfileThread>(
+                    specProfile(bench), i, 1u << 30));
+                ooo.attachThread(i, threads.back().get());
+            }
+            runCycles(core, 20000);
+            runCycles(ooo, 20000);
+            EXPECT_TRUE(core.inOooMode());
+            EXPECT_EQ(core.modeSwitches(), 0u);
+
+            const CoreStats &got = core.stats();
+            const CoreStats &want = ooo.stats();
+            CoreStats::forEachCounter([&](const char *name, auto field) {
+                EXPECT_EQ(got.*field, want.*field) << name;
+            });
+            for (int c = 0; c < kNumOpClasses; ++c)
+                EXPECT_EQ(got.dispatched[c], want.dispatched[c])
+                    << "dispatched[" << c << "]";
+            EXPECT_EQ(core.hierarchy().l1d().stats().accesses,
+                      ooo.hierarchy().l1d().stats().accesses);
+            EXPECT_GT(got.retired, 0u);
+        }
+    }
 }
 
 TEST(MorphCoreTest, MorphsToInOrderWhenThreadsExceedLimit)

@@ -22,16 +22,12 @@
  * responses are byte-identical to this CLI's output.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
-#include <map>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/env.h"
@@ -48,6 +44,7 @@
 #include "study/design_space.h"
 #include "study/online_study.h"
 #include "study/study_engine.h"
+#include "tools/args.h"
 #include "trace/spec_profiles.h"
 #include "trace/trace_io.h"
 #include "workload/parsec.h"
@@ -56,92 +53,6 @@
 using namespace smtflex;
 
 namespace {
-
-/** Tiny flag parser: --key value and boolean --key. Command @p cmd reads
- * exactly the flags in @p known; any other flag is fatal. */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first, const char *cmd,
-         std::initializer_list<std::string_view> known)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0)
-                fatal("unexpected argument '", key, "'");
-            key = key.substr(2);
-            if (std::find(known.begin(), known.end(), key) == known.end())
-                fatal(cmd, ": unknown flag '--", key, "'");
-            std::string value;
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-                value = argv[i + 1];
-                ++i;
-            }
-            values_[key] = value;
-            ordered_.emplace_back(std::move(key), std::move(value));
-        }
-    }
-
-    bool has(const std::string &key) const { return values_.count(key); }
-
-    /** Every value of a repeatable flag, in command-line order
-     * (`--backend a --backend b`). */
-    std::vector<std::string> all(const std::string &key) const
-    {
-        std::vector<std::string> out;
-        for (const auto &[k, v] : ordered_) {
-            if (k == key)
-                out.push_back(v);
-        }
-        return out;
-    }
-
-    std::string
-    get(const std::string &key, const std::string &fallback = "") const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    /** Strictly parsed integer flag: `--seed abc` is fatal, not 0, and
-     * so is a value out of the flag's range. */
-    std::uint64_t
-    getInt(const std::string &key, std::uint64_t fallback) const
-    {
-        return parsed(key, fallback, parseU64);
-    }
-
-    std::uint32_t
-    getU32(const std::string &key, std::uint32_t fallback) const
-    {
-        return parsed(key, fallback, parseU32);
-    }
-
-    std::uint16_t
-    getPort(const std::string &key, std::uint16_t fallback) const
-    {
-        return parsed(key, fallback, parsePort);
-    }
-
-    double
-    getDouble(const std::string &key, double fallback) const
-    {
-        return parsed(key, fallback, parseDouble);
-    }
-
-  private:
-    template <typename T>
-    T
-    parsed(const std::string &key, T fallback,
-           T (*parse)(const std::string &, const std::string &)) const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : parse(it->second, "--" + key);
-    }
-
-    std::map<std::string, std::string> values_;
-    std::vector<std::pair<std::string, std::string>> ordered_;
-};
 
 /** StudyOptions from the environment plus the --cache override. */
 StudyOptions
@@ -190,8 +101,7 @@ runRemotely(const Args &args, const serve::Request &request)
     const auto [host, port] = parseEndpoint(args.get("addr"), "--addr");
     serve::Client client;
     client.connect(host, port);
-    const serve::Json reply =
-        client.call(serve::Json::parse(request.canonicalKey()));
+    const serve::Json reply = client.call(request.toJson());
     if (!reply.at("ok").asBool())
         fatal("server error: ", reply.at("error").asString(), ": ",
               reply.at("message").asString());

@@ -8,17 +8,14 @@
  *                   --mix ping=2,run=4,sweep=1,isolated=1
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/env.h"
 #include "common/log.h"
 #include "serve/loadgen.h"
+#include "tools/args.h"
 
 using namespace smtflex;
 
@@ -57,82 +54,52 @@ usage()
     return 2;
 }
 
-/** Every flag usage() documents (--help aside). */
-constexpr std::string_view kFlags[] = {
-    "host", "port", "addr", "connections", "requests", "seed", "mix",
-    "distinct", "budget", "warmup", "deadline-ms", "ping-delay-ms",
-    "stats-interval", "chaos", "chaos-every", "retries", "op-timeout-ms"};
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     try {
-        std::map<std::string, std::string> flags;
-        std::vector<std::string> addrs; // --addr accumulates, unlike the rest
-        for (int i = 1; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0)
-                return usage();
-            key = key.substr(2);
-            if (key == "help")
-                return usage();
-            if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
-                std::end(kFlags))
-                fatal("loadgen: unknown flag '--", key, "'");
-            std::string value;
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                value = argv[++i];
-            if (key == "addr")
-                addrs.push_back(value);
-            else
-                flags[key] = value;
-        }
+        std::vector<std::string> positional;
+        const Args args(argc, argv, 1, "loadgen",
+                        {"help", "host", "port", "addr", "connections",
+                         "requests", "seed", "mix", "distinct", "budget",
+                         "warmup", "deadline-ms", "ping-delay-ms",
+                         "stats-interval", "chaos", "chaos-every",
+                         "retries", "op-timeout-ms"},
+                        &positional);
+        if (args.has("help") || !positional.empty())
+            return usage();
 
-        serve::LoadGenOptions options;
-        const auto str = [&](const char *key, const std::string &fallback) {
-            const auto it = flags.find(key);
-            return it == flags.end() ? fallback : it->second;
-        };
         // Each integer flag parses at its field's width: an out-of-range
         // value is fatal, never silently narrowed.
-        const auto parsed = [&](const char *key, auto fallback, auto parse) {
-            const auto it = flags.find(key);
-            return it == flags.end()
-                ? fallback
-                : parse(it->second, std::string("--") + key);
-        };
-        const auto num = [&](const char *key, std::uint64_t fallback) {
-            return parsed(key, fallback, parseU64);
-        };
-        const auto num32 = [&](const char *key, std::uint32_t fallback) {
-            return parsed(key, fallback, parseU32);
-        };
-        options.host = str("host", options.host);
-        options.port = parsed("port", options.port, parsePort);
-        for (const std::string &addr : addrs)
+        serve::LoadGenOptions options;
+        options.host = args.get("host", options.host);
+        options.port = args.getPort("port", options.port);
+        for (const std::string &addr : args.all("addr"))
             options.targets.push_back(parseEndpoint(addr, "--addr"));
-        options.connections = num32("connections", options.connections);
+        options.connections =
+            args.getU32("connections", options.connections);
         options.requestsPerConnection =
-            num32("requests", options.requestsPerConnection);
-        options.seed = num("seed", options.seed);
-        options.mix = str("mix", options.mix);
-        options.distinct = num32("distinct", options.distinct);
-        options.budget = num("budget", options.budget);
-        options.warmup = num("warmup", options.warmup);
-        options.deadlineMs = num("deadline-ms", options.deadlineMs);
-        options.pingDelayMs = num("ping-delay-ms", options.pingDelayMs);
+            args.getU32("requests", options.requestsPerConnection);
+        options.seed = args.getInt("seed", options.seed);
+        options.mix = args.get("mix", options.mix);
+        options.distinct = args.getU32("distinct", options.distinct);
+        options.budget = args.getInt("budget", options.budget);
+        options.warmup = args.getInt("warmup", options.warmup);
+        options.deadlineMs = args.getInt("deadline-ms", options.deadlineMs);
+        options.pingDelayMs =
+            args.getInt("ping-delay-ms", options.pingDelayMs);
         options.statsIntervalMs =
-            num("stats-interval", options.statsIntervalMs);
-        options.chaos = str("chaos", options.chaos);
-        options.chaosEvery = num32("chaos-every", options.chaosEvery);
+            args.getInt("stats-interval", options.statsIntervalMs);
+        options.chaos = args.get("chaos", options.chaos);
+        options.chaosEvery = args.getU32("chaos-every", options.chaosEvery);
         // Chaos without retries would abort the whole run on the first
         // self-inflicted wound; default to a forgiving client.
         options.retry.maxRetries =
-            num32("retries", options.chaos.empty() ? 0 : 3);
+            args.getU32("retries", options.chaos.empty() ? 0 : 3);
         options.retry.opTimeoutMs =
-            num("op-timeout-ms", options.retry.opTimeoutMs);
+            args.getInt("op-timeout-ms", options.retry.opTimeoutMs);
         if (options.connections == 0 || options.requestsPerConnection == 0)
             fatal("loadgen: --connections and --requests must be > 0");
 
