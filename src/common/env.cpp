@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/log.h"
@@ -80,6 +81,8 @@ parseDouble(const std::string &text, const std::string &what)
         fatal(what, ": value '", text, "' out of range");
     if (end == nullptr || *end != '\0')
         fatal(what, ": trailing junk in '", text, "'");
+    if (!std::isfinite(value))
+        fatal(what, ": value '", text, "' is not a finite number");
     return value;
 }
 

@@ -40,8 +40,8 @@ std::uint16_t parsePort(const std::string &text, const std::string &what);
 std::pair<std::string, std::uint16_t> parseEndpoint(const std::string &addr,
                                                     const std::string &what);
 
-/** Parse @p text as a floating-point value; fatal() naming @p what on
- * malformed values. */
+/** Parse @p text as a finite floating-point value; fatal() naming
+ * @p what on malformed, out-of-range or non-finite (nan, inf) values. */
 double parseDouble(const std::string &text, const std::string &what);
 
 /** String value of @p name, or @p fallback when unset. */

@@ -101,9 +101,6 @@ Backend::recordSuccess(std::uint64_t latency_us)
     consecutiveFailures_.store(0);
     healthy_.store(true);
     lastLatencyUs_.store(latency_us);
-    if (latencySeries_ != nullptr)
-        latencySeries_->append(calls_.load(),
-                               static_cast<double>(latency_us));
 }
 
 void
@@ -133,10 +130,8 @@ Backend::registerMetrics(telemetry::MetricRegistry &registry)
                    [this] { return quarantines_.load(); });
     registry.gauge(prefix + "queue_depth",
                    [this] { return queueDepth_.load(); });
-    // Bounded ring: the coordinator is long-lived, the series is for
-    // live monitoring, not history. Series is internally synchronized,
-    // so worker-thread appends are safe against I/O-thread walks.
-    latencySeries_ = &registry.series(prefix + "latency_us", 256);
+    registry.gauge(prefix + "latency_us",
+                   [this] { return lastLatencyUs_.load(); });
 }
 
 BackendPool::BackendPool(const std::vector<BackendConfig> &configs,

@@ -6,8 +6,8 @@
  * ping probes, quarantines a backend after repeated failures (the
  * fault-layer idiom: misbehaviour is contained, not fatal), and feeds
  * the per-backend dist.* telemetry: call/failure counters, last-seen
- * queue depth (backpressure, from the backend's `stats` op), and a
- * latency series.
+ * queue depth (backpressure, from the backend's `stats` op), and the
+ * last call's latency.
  *
  * Probes use short connect/op deadlines (serve::Client's poll-based
  * timeouts), so a backend that accepts but never answers — or that
@@ -76,15 +76,10 @@ class Backend
 
     bool healthy() const { return healthy_.load(); }
 
-    // ---- telemetry feeds ----
-    std::uint64_t calls() const { return calls_.load(); }
     std::uint64_t failures() const { return failures_.load(); }
-    std::uint64_t queueDepth() const { return queueDepth_.load(); }
-    /** Last call latency in microseconds. */
-    std::uint64_t lastLatencyUs() const { return lastLatencyUs_.load(); }
 
-    /** Register this backend's dist.backend.<i>.* gauges and latency
-     * series on @p registry. Call before the owning server runs. */
+    /** Register this backend's dist.backend.<i>.* gauges on
+     * @p registry. Call before the owning server runs. */
     void registerMetrics(telemetry::MetricRegistry &registry);
 
   private:
@@ -108,7 +103,6 @@ class Backend
     std::atomic<std::uint64_t> quarantines_{0};
     std::atomic<std::uint64_t> queueDepth_{0};
     std::atomic<std::uint64_t> lastLatencyUs_{0};
-    telemetry::Series *latencySeries_ = nullptr; ///< owned by registry
 };
 
 class BackendPool

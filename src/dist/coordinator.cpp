@@ -199,6 +199,8 @@ Coordinator::coordinateSweep(const serve::SweepRequest &req)
 {
     stats_.sweeps.fetch_add(1);
     StudyEngine &engine = server_.engine();
+    // Before any record is pulled or any chunk reaches a backend.
+    serve::requireStudyBandwidth(engine, req.hasBw, req.bw, "sweep");
     const ChipConfig cfg = serve::buildDesign(req.design, req.noSmt,
                                               req.hasBw, req.bw, false);
 

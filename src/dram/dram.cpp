@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.h"
 
@@ -21,12 +22,23 @@ DramConfig::busTransferCycles() const
     return static_cast<std::uint32_t>(std::ceil(ns * clockGHz));
 }
 
+bool
+DramConfig::bandwidthValid() const
+{
+    if (!std::isfinite(busBandwidthGBps) || busBandwidthGBps <= 0.0)
+        return false;
+    const double ns = static_cast<double>(kLineSize) / busBandwidthGBps;
+    return std::ceil(ns * clockGHz) <=
+        static_cast<double>(std::numeric_limits<std::uint32_t>::max());
+}
+
 DramModel::DramModel(const DramConfig &config) : config_(config)
 {
     if (config_.numBanks == 0)
         fatal("DramModel: numBanks must be > 0");
-    if (config_.busBandwidthGBps <= 0.0)
-        fatal("DramModel: bandwidth must be > 0");
+    if (!config_.bandwidthValid())
+        fatal("DramModel: bad bandwidth ", config_.busBandwidthGBps,
+              " GB/s (finite, positive, >= ~4e-8)");
     bankFree_.assign(config_.numBanks, 0);
 }
 

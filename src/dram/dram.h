@@ -34,6 +34,9 @@ struct DramConfig
     std::uint32_t bankLatencyCycles() const;
     /** Bus occupancy of one line transfer in cycles. */
     std::uint32_t busTransferCycles() const;
+    /** Whether busBandwidthGBps is finite, positive and fast enough for
+     * busTransferCycles() to fit (about 4e-8 GB/s at 2.66 GHz). */
+    bool bandwidthValid() const;
 };
 
 /** DRAM statistics. */

@@ -5,12 +5,12 @@
  *
  * The offline oracle (sched/scheduler.h) steers placement from a table of
  * isolated IPCs plus a *static* memory-intensity formula over the profile
- * structs. The online layer has neither: it sees only what the telemetry
- * spine samples — per-core retired/IPC and cache-miss counters at quantum
- * boundaries. This file defines the counter-space image of the oracle's
- * inputs: a TypeSample per (thread, core type) from short solo sample
- * quanta, a ThreadProfile aggregating them, and a SYNPA-style classifier
- * bucketing threads into memory-bound / mixed / ILP-bound.
+ * structs. The online layer has neither: it sees only the counters of
+ * short sample runs — per-core retired/IPC and cache-miss totals, read
+ * from each run's SimResult. This file defines the counter-space image of
+ * the oracle's inputs: a TypeSample per (thread, core type) from a short
+ * solo sample run, a ThreadProfile aggregating them, and a SYNPA-style
+ * classifier bucketing threads into memory-bound / mixed / ILP-bound.
  *
  * The memory-intensity proxy is LLC misses per kilo-instruction (DRAM
  * traffic), not private-L2 MPKI: codes whose working set fits the LLC but
@@ -49,7 +49,7 @@ struct TypeSample
     /** LLC misses per kilo-instruction (off-chip traffic — the memory-
      * intensity proxy; see the file comment). */
     double llcMpki = 0.0;
-    /** Sample quanta (telemetry series points) the run recorded. */
+    /** Whole sample quanta (kSampleQuantum cycles each) the run took. */
     std::uint64_t quanta = 0;
 };
 

@@ -12,8 +12,6 @@ OnlineProfiler::OnlineProfiler(ProfilerOptions options) : options_(options)
 {
     if (options_.sampleBudget == 0)
         fatal("OnlineProfiler: sample budget must be positive");
-    if (options_.sampleQuantum == 0)
-        fatal("OnlineProfiler: sample quantum must be positive");
 }
 
 std::vector<CoreType>
@@ -59,7 +57,6 @@ OnlineProfiler::sampleUncached(const BenchmarkProfile &profile,
     solo = solo.withBandwidth(options_.bandwidthGBps);
 
     ChipSim chip(solo);
-    chip.enableSampling(options_.sampleQuantum);
     const std::vector<ThreadSpec> specs = {
         {&profile, options_.sampleBudget, options_.sampleWarmup}};
     Placement placement;
@@ -80,7 +77,7 @@ OnlineProfiler::sampleUncached(const BenchmarkProfile &profile,
         sample.llcMpki =
             1000.0 * static_cast<double>(result.llc.misses) / retired;
     }
-    sample.quanta = chip.ipcSeries()->size();
+    sample.quanta = result.cycles / kSampleQuantum;
     return sample;
 }
 

@@ -2,14 +2,11 @@
  * @file
  * OnlineProfiler — the sample phase of the online scheduler (DESIGN.md
  * §14). Each distinct benchmark of a workload runs a short solo sample
- * quantum on each relevant core type inside ChipSim::runMultiProgram with
- * interval telemetry sampling on; IPC and miss counters are read from the
- * run's SimResult, and the chip's IPC series counts the sampled quanta.
- * Fast-forward jumps already clamp to sample boundaries, so sampled runs
- * are bit-identical strict vs fast-forward — and bit-identical to the
- * unsampled runs the offline oracle's table is built from, which is what
- * makes a converged profile reproduce the oracle's placement exactly (the
- * golden test).
+ * on each relevant core type inside ChipSim::runMultiProgram; IPC, miss
+ * counters and the quanta count (the run's cycles per kSampleQuantum) are
+ * read from the run's SimResult. Sample runs are the same runs the
+ * offline oracle's table is built from, which is what makes a converged
+ * profile reproduce the oracle's placement exactly (the golden test).
  *
  * Samples are memoised per (benchmark, core type) within a profiler, and
  * distinct samples fan out over the smtflex::exec pool with deterministic
@@ -33,6 +30,9 @@
 namespace smtflex {
 namespace online {
 
+/** Global cycles per sample quantum (the unit TypeSample::quanta counts). */
+inline constexpr Cycle kSampleQuantum = 5'000;
+
 /** Knobs of the sample phase. */
 struct ProfilerOptions
 {
@@ -41,8 +41,6 @@ struct ProfilerOptions
     InstrCount sampleBudget = 3'000;
     /** Unmeasured cold-start instructions per sample run. */
     InstrCount sampleWarmup = 1'000;
-    /** Telemetry sampling interval (global cycles per quantum). */
-    Cycle sampleQuantum = 5'000;
     std::uint64_t seed = 12'345;
     /** Off-chip bandwidth of the sample chips (match the target study). */
     double bandwidthGBps = 8.0;

@@ -92,13 +92,25 @@ buildDesign(const std::string &name, bool no_smt, bool has_bw, double bw,
         fatal("unknown design '", name, "' (see `smtflex designs`)");
     if (no_smt)
         cfg = cfg.withSmt(false);
-    if (has_bw)
+    if (has_bw) {
         cfg = cfg.withBandwidth(bw);
+        cfg.validate(); // a bad bandwidth fails here, before any run
+    }
     if (prefetch) {
         for (auto &core : cfg.cores)
             core.dataPrefetch = true;
     }
     return cfg;
+}
+
+void
+requireStudyBandwidth(const StudyEngine &engine, bool has_bw, double bw,
+                      const char *op)
+{
+    const double study = engine.options().bandwidthGBps;
+    if (has_bw && bw != study)
+        fatal(op, ": bw ", bw, " GB/s differs from this engine's study "
+              "bandwidth of ", study, " GB/s, which keys its records");
 }
 
 void
@@ -229,6 +241,7 @@ std::string
 sweepText(StudyEngine &engine, const SweepRequest &req)
 {
     validateSweep(req);
+    requireStudyBandwidth(engine, req.hasBw, req.bw, "sweep");
     const ChipConfig cfg =
         buildDesign(req.design, req.noSmt, req.hasBw, req.bw, false);
 
@@ -248,6 +261,7 @@ sweepChunkRecords(StudyEngine &engine, const SweepRequest &req,
                   const std::vector<std::uint32_t> &rows)
 {
     validateSweep(req);
+    requireStudyBandwidth(engine, req.hasBw, req.bw, "sweep_chunk");
     const ChipConfig cfg =
         buildDesign(req.design, req.noSmt, req.hasBw, req.bw, false);
 
@@ -312,6 +326,7 @@ std::string
 scheduleText(StudyEngine &engine, const ScheduleRequest &req)
 {
     validateSchedule(req);
+    requireStudyBandwidth(engine, req.hasBw, req.bw, "schedule");
     const ChipConfig cfg =
         buildDesign(req.design, req.noSmt, req.hasBw, req.bw, false);
     const MultiProgramWorkload mix = mixWorkload(req.benchmarks);

@@ -78,10 +78,17 @@ struct ScheduleRequest
 
 /**
  * Resolve a design name against the paper and alternative design sets and
- * apply the request-level config switches; fatal() on unknown names.
+ * apply the request-level config switches; fatal() on unknown names and
+ * on a bandwidth ChipConfig::validate rejects.
  */
 ChipConfig buildDesign(const std::string &name, bool no_smt, bool has_bw,
                        double bw, bool prefetch);
+
+/** Sweeps and schedules run at, and key their records by, the engine's
+ * StudyOptions::bandwidthGBps: fatal() naming @p op and both bandwidths
+ * when a request's @p bw (@p has_bw) differs from it. */
+void requireStudyBandwidth(const StudyEngine &engine, bool has_bw, double bw,
+                           const char *op);
 
 /** Validate @p req without running it: design and benchmark names exist,
  * workload non-empty, report kind known. fatal() on violations. */

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/log.h"
 
@@ -375,7 +376,9 @@ class Parser
             skipWhitespace();
             if (take() != ':')
                 fail("expected ':' after object key");
-            obj.set(std::move(key), parseValue(depth + 1));
+            const std::string *outer = std::exchange(member_, &key);
+            obj.set(key, parseValue(depth + 1));
+            member_ = outer;
             skipWhitespace();
             const char c = take();
             if (c == '}')
@@ -542,11 +545,18 @@ class Parser
                 ++pos_;
         }
         const std::string token = text_.substr(start, pos_ - start);
-        return Json::number(std::strtod(token.c_str(), nullptr));
+        const double value = std::strtod(token.c_str(), nullptr);
+        if (std::isinf(value))
+            fail("number " + token +
+                 (member_ ? " of member '" + *member_ + "'" : "") +
+                 " overflows a double");
+        return Json::number(value);
     }
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    /** Key of the object member being parsed (errors name it). */
+    const std::string *member_ = nullptr;
 };
 
 } // namespace

@@ -85,8 +85,9 @@ ChipConfig::validate() const
               " bytes not divisible into ", llc.assoc, "-way sets)");
     if (llcLatency == 0)
         fatal("ChipConfig ", name, ": llcLatency must be > 0");
-    if (dram.busBandwidthGBps <= 0.0)
-        fatal("ChipConfig ", name, ": dram.busBandwidthGBps must be > 0");
+    if (!dram.bandwidthValid())
+        fatal("ChipConfig ", name, ": bad dram.busBandwidthGBps ",
+              dram.busBandwidthGBps, " (finite, positive, >= ~4e-8)");
     if (chipFreqGHz <= 0.0)
         fatal("ChipConfig ", name, ": bad chip frequency");
 }

@@ -40,43 +40,6 @@ ChipSim::ChipSim(const ChipConfig &config)
 }
 
 void
-ChipSim::enableSampling(Cycle interval, std::size_t max_points)
-{
-    if (interval == 0)
-        fatal("ChipSim: sampling interval must be > 0");
-    samplingInterval_ = interval;
-    nextSample_ = now_ + interval;
-    lastSampleCycle_ = now_;
-    std::uint64_t retired = 0;
-    for (const auto &core : cores_)
-        retired += core->stats().retired;
-    lastSampleRetired_ = retired;
-    ipcSeries_ = std::make_unique<telemetry::Series>(max_points);
-    activeSeries_ = std::make_unique<telemetry::Series>(max_points);
-}
-
-void
-ChipSim::maybeSample()
-{
-    // Retired counts are strict even while cores sleep: retirement only
-    // happens inside tick(), so a sleeping (provably inert) core's counter
-    // is already exact — no wake needed to read it.
-    std::uint64_t retired = 0;
-    for (const auto &core : cores_)
-        retired += core->stats().retired;
-    const Cycle elapsed = now_ - lastSampleCycle_;
-    const double ipc = elapsed
-        ? static_cast<double>(retired - lastSampleRetired_) /
-            static_cast<double>(elapsed)
-        : 0.0;
-    ipcSeries_->append(now_, ipc);
-    activeSeries_->append(now_, static_cast<double>(attachedThreads_));
-    lastSampleCycle_ = now_;
-    lastSampleRetired_ = retired;
-    nextSample_ = now_ + samplingInterval_;
-}
-
-void
 ChipSim::attach(std::uint32_t core, std::uint32_t slot, ThreadSource *t)
 {
     if (core < wake_.size())
@@ -108,8 +71,6 @@ ChipSim::tick()
             core.tick(now_);
     }
     activeHistogram_.add(attachedThreads_, 1.0);
-    if (samplingInterval_ != 0 && now_ >= nextSample_)
-        maybeSample();
 }
 
 void
@@ -190,18 +151,11 @@ ChipSim::stepCores()
         }
     }
     activeHistogram_.add(attachedThreads_, 1.0);
-    if (samplingInterval_ != 0 && now_ >= nextSample_)
-        maybeSample();
 }
 
 void
 ChipSim::jumpIdleSpan(Cycle bound)
 {
-    // A sample must be taken at exactly its boundary cycle, so a jump may
-    // not pass one. (Landing on the boundary is fine: no core was awake,
-    // so the sampled counters cannot differ from the strict loop's.)
-    if (samplingInterval_ != 0)
-        bound = std::min(bound, nextSample_);
     // Jump only when every core is asleep or parked.
     for (const std::uint64_t word : awakeMask_)
         if (word != 0)
@@ -227,8 +181,6 @@ ChipSim::jumpIdleSpan(Cycle bound)
         activeHistogram_.add(attachedThreads_,
                              static_cast<double>(target - now_));
         now_ = target;
-        if (samplingInterval_ != 0 && now_ >= nextSample_)
-            maybeSample();
     }
 }
 

@@ -141,27 +141,6 @@ class ChipSim
     const Core &core(std::uint32_t i) const { return *cores_.at(i); }
     SharedMemory &sharedMemory() { return shared_; }
 
-    /**
-     * Turn on interval time-series sampling: every @p interval global
-     * cycles, append one point to ipcSeries() (chip-wide retired ops per
-     * cycle over the interval) and one to activeThreadSeries() (attached
-     * threads at the sample cycle). Off by default — when off, the run
-     * loops are exactly the pre-telemetry loops. Sampling clamps
-     * fast-forward jumps to sample boundaries, so sampled runs remain
-     * bit-identical to strict (non-fast-forward) sampled runs.
-     *
-     * @param max_points ring capacity per series (0 = unbounded).
-     */
-    void enableSampling(Cycle interval, std::size_t max_points = 0);
-    bool samplingEnabled() const { return samplingInterval_ != 0; }
-
-    /** The sampled series; nullptr until enableSampling(). */
-    const telemetry::Series *ipcSeries() const { return ipcSeries_.get(); }
-    const telemetry::Series *activeThreadSeries() const
-    {
-        return activeSeries_.get();
-    }
-
     /** Attach/detach with central active-thread bookkeeping. */
     void attach(std::uint32_t core, std::uint32_t slot, ThreadSource *t);
     ThreadSource *detach(std::uint32_t core, std::uint32_t slot);
@@ -189,11 +168,11 @@ class ChipSim
 
     /**
      * If every core is asleep (or dormant), jump now_ to just before the
-     * earliest wake, clamped to @p bound and to the next time-series
-     * sample (now_ never exceeds @p bound). No-op while any core is
-     * awake — so always under strict stepping, where no core sleeps.
-     * Every skipped cycle adds the current attached-thread count to the
-     * active-thread histogram, as a strict tick() would.
+     * earliest wake, clamped to @p bound (now_ never exceeds @p bound).
+     * No-op while any core is awake — so always under strict stepping,
+     * where no core sleeps. Every skipped cycle adds the current
+     * attached-thread count to the active-thread histogram, as a strict
+     * tick() would.
      */
     void jumpIdleSpan(Cycle bound);
 
@@ -279,12 +258,6 @@ class ChipSim
      * before results are read. */
     void flushCore(std::uint32_t i);
 
-    /** Record due time-series samples (called with now_ at or past the
-     * next sample boundary; a no-op branch when sampling is off). Kept
-     * out of line: sampling is off by default, and tick() is the
-     * per-cycle path. */
-    [[gnu::noinline]] void maybeSample();
-
     ChipConfig config_;
     SharedMemory shared_;
     std::vector<std::unique_ptr<Core>> cores_;
@@ -315,14 +288,6 @@ class ChipSim
                         std::greater<>>
         wakeHeap_;
     Cycle ffCycles_ = 0;
-
-    /** Interval sampling state (0 interval = off). */
-    Cycle samplingInterval_ = 0;
-    Cycle nextSample_ = 0;
-    Cycle lastSampleCycle_ = 0;
-    std::uint64_t lastSampleRetired_ = 0;
-    std::unique_ptr<telemetry::Series> ipcSeries_;
-    std::unique_ptr<telemetry::Series> activeSeries_;
 };
 
 } // namespace smtflex

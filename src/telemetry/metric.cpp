@@ -91,35 +91,5 @@ MetricValue::operator==(const MetricValue &other) const
     return false;
 }
 
-void
-Series::append(std::uint64_t x, double value)
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (maxPoints_ != 0 && points_.size() == maxPoints_)
-        points_.erase(points_.begin());
-    points_.push_back(Point{x, value});
-}
-
-std::vector<Series::Point>
-Series::points() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return points_;
-}
-
-std::size_t
-Series::size() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return points_.size();
-}
-
-double
-Series::last() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return points_.empty() ? 0.0 : points_.back().value;
-}
-
 } // namespace telemetry
 } // namespace smtflex

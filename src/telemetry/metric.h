@@ -15,9 +15,7 @@
 #define SMTFLEX_TELEMETRY_METRIC_H
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace smtflex {
 namespace telemetry {
@@ -95,46 +93,6 @@ class MetricValue
     double double_ = 0.0;
     bool bool_ = false;
     std::string string_;
-};
-
-/**
- * An append-only time series of (x, value) points sampled at a fixed
- * interval: paper-style time-axis data (a ChipSim's per-interval IPC and
- * active threads) or a registry's latency probes. The x axis is whatever
- * the producer samples on (global cycles for the chip).
- *
- * Appends and reads are internally synchronized: producers may run on
- * worker threads (dist backend latency probes) while the serve I/O
- * thread walks the registry for exposition. points() therefore hands
- * out a snapshot copy, not a reference into live storage.
- */
-class Series
-{
-  public:
-    struct Point
-    {
-        std::uint64_t x = 0;
-        double value = 0.0;
-    };
-
-    /** @param max_points 0 = unbounded; otherwise the oldest points are
-     * dropped once the cap is reached (live-monitoring ring). */
-    explicit Series(std::size_t max_points = 0) : maxPoints_(max_points) {}
-
-    void append(std::uint64_t x, double value);
-
-    /** Snapshot of the points. */
-    std::vector<Point> points() const;
-    std::size_t size() const;
-    bool empty() const { return size() == 0; }
-
-    /** Most recent value (0 when empty — exposition convenience). */
-    double last() const;
-
-  private:
-    mutable std::mutex mu_;
-    std::size_t maxPoints_;
-    std::vector<Point> points_;
 };
 
 } // namespace telemetry

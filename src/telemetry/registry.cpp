@@ -72,10 +72,7 @@ MetricRegistry::Metric::read() const
     if (atomicCell != nullptr)
         return MetricValue::u64(
             atomicCell->load(std::memory_order_relaxed));
-    if (fn)
-        return fn();
-    // A bare series: its scalar reading is the latest sample.
-    return MetricValue::real(series != nullptr ? series->last() : 0.0);
+    return fn();
 }
 
 void
@@ -142,22 +139,6 @@ MetricRegistry::info(const std::string &path, std::function<std::string()> fn)
     add(path, std::move(m));
 }
 
-Series &
-MetricRegistry::series(const std::string &path, std::size_t max_points)
-{
-    const auto existing = seriesStore_.find(path);
-    if (existing != seriesStore_.end())
-        return *existing->second;
-    auto owned = std::make_unique<Series>(max_points);
-    Series &handle = *owned;
-    seriesStore_.emplace(path, std::move(owned));
-    Metric m;
-    m.kind = MetricKind::kGauge;
-    m.series = &handle;
-    add(path, std::move(m));
-    return handle;
-}
-
 bool
 MetricRegistry::contains(const std::string &path) const
 {
@@ -203,11 +184,8 @@ Snapshot
 MetricRegistry::snapshot() const
 {
     Snapshot out;
-    for (const auto &[path, metric] : metrics_) {
-        if (metric.series != nullptr)
-            continue;
+    for (const auto &[path, metric] : metrics_)
         out.set(path, metric.read());
-    }
     return out;
 }
 

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -113,13 +112,6 @@ class MetricRegistry
     /** String-valued exposition entry (a path, a mode name). */
     void info(const std::string &path, std::function<std::string()> fn);
 
-    /**
-     * Create (or return the existing) time series at @p path. The
-     * registry owns the storage; producers append through the returned
-     * handle at their sampling cadence.
-     */
-    Series &series(const std::string &path, std::size_t max_points = 0);
-
     // ---- reads ----
 
     bool contains(const std::string &path) const;
@@ -142,16 +134,14 @@ class MetricRegistry
         const std::function<void(const std::string &, MetricKind,
                                  const MetricValue &)> &visit) const;
 
-    /** Materialise every scalar metric (series are not snapshotted —
-     * access their points through series()). */
+    /** Materialise every metric's current reading. */
     Snapshot snapshot() const;
 
     /**
-     * Prometheus-style text exposition of every scalar metric: dotted
+     * Prometheus-style text exposition of every metric: dotted
      * paths become underscore-separated names under @p name_prefix,
      * counters and gauges get `# TYPE` lines, booleans render as 0/1
-     * gauges and strings as `<name>_info{value="..."} 1`. Series
-     * contribute their latest value as a gauge.
+     * gauges and strings as `<name>_info{value="..."} 1`.
      */
     std::string exposition(const std::string &name_prefix = "smtflex") const;
 
@@ -163,7 +153,6 @@ class MetricRegistry
         const std::uint64_t *cell = nullptr;
         const std::atomic<std::uint64_t> *atomicCell = nullptr;
         std::function<MetricValue()> fn;
-        Series *series = nullptr; ///< owned by seriesStore_
 
         MetricValue read() const;
     };
@@ -171,7 +160,6 @@ class MetricRegistry
     void add(const std::string &path, Metric metric);
 
     std::map<std::string, Metric> metrics_;
-    std::map<std::string, std::unique_ptr<Series>> seriesStore_;
 };
 
 /** Reject malformed metric paths (empty segments, characters outside

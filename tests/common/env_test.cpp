@@ -83,7 +83,8 @@ TEST(ParseTest, StrictParsersRejectGarbage)
     }
     EXPECT_THROW(parseU64("18446744073709551616", "field"), FatalError);
     EXPECT_THROW(parseU32("4294967296", "field"), FatalError);
-    for (const char *bad : {"", "abc", "1.5x", "--2"}) {
+    for (const char *bad :
+         {"", "abc", "1.5x", "--2", "nan", "inf", "-inf"}) {
         EXPECT_THROW(parseDouble(bad, "field"), FatalError)
             << "'" << bad << "'";
     }

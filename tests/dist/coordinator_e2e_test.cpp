@@ -380,8 +380,15 @@ TEST(CoordinatorE2eTest, WireProtocolAndDistMetricsWorkEndToEnd)
               std::string::npos);
     EXPECT_NE(text.find("smtflex_dist_backend_0_healthy 1"),
               std::string::npos);
-    EXPECT_NE(text.find("smtflex_dist_backend_0_latency_us"),
-              std::string::npos);
+    // The last call's latency: an exact integer in both renderings.
+    const double latency =
+        exposed.at("metrics").at("dist.backend.0.latency_us").asNumber();
+    EXPECT_GT(latency, 0.0);
+    EXPECT_NE(text.find("smtflex_dist_backend_0_latency_us " +
+                        std::to_string(static_cast<std::uint64_t>(latency)) +
+                        "\n"),
+              std::string::npos)
+        << text;
 
     coordinator.requestStop();
     runner.join();

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/log.h"
 #include "dram/dram.h"
 
@@ -95,9 +97,11 @@ TEST(DramTest, BadConfigRejected)
     DramConfig cfg = paperConfig();
     cfg.numBanks = 0;
     EXPECT_THROW(DramModel{cfg}, FatalError);
-    cfg = paperConfig();
-    cfg.busBandwidthGBps = 0.0;
-    EXPECT_THROW(DramModel{cfg}, FatalError);
+    for (const double bw : {0.0, std::nan(""), 1e-300}) {
+        cfg = paperConfig();
+        cfg.busBandwidthGBps = bw;
+        EXPECT_THROW(DramModel{cfg}, FatalError) << bw;
+    }
 }
 
 TEST(DramTest, UtilisationZeroWhenIdle)

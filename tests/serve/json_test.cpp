@@ -71,8 +71,17 @@ TEST(JsonTest, MalformedDocumentsAreFatal)
     for (const char *bad :
          {"", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "01", "1.",
           "+1", "\"unterminated", "{\"a\":1}extra", "[1] [2]", "nan",
-          "{\"a\":1,}", "[1,]", "'single'"}) {
+          "{\"a\":1,}", "[1,]", "'single'", "1e999", "[-1e999]"}) {
         EXPECT_THROW(Json::parse(bad), FatalError) << "'" << bad << "'";
+    }
+    // A number that overflows a double names its member.
+    try {
+        Json::parse("{\"op\":\"sweep\",\"bw\":1e999}");
+        FAIL() << "1e999 parsed";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("member 'bw'"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -18,6 +18,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/log.h"
 #include "serve/client.h"
@@ -241,8 +242,52 @@ TEST(ServerTest, UnknownOpAndBadFieldsAreBadRequests)
     EXPECT_FALSE(reply2.at("ok").asBool());
     EXPECT_EQ(reply2.at("error").asString(), "bad_request");
 
+    // A bandwidth that is not a finite positive number never reaches a
+    // run; the reply names the field.
+    const std::pair<const char *, const char *> bad_bandwidths[] = {
+        {"\"nan\"", "request field 'bw'"},
+        {"1e-300", "dram.busBandwidthGBps"}};
+    for (const auto &[bw, field] : bad_bandwidths) {
+        const std::string request =
+            std::string("{\"op\":\"run\",\"workload\":[\"mcf\"],"
+                        "\"bw\":") +
+            bw + "}";
+        const Json reply3 = client.call(Json::parse(request));
+        EXPECT_FALSE(reply3.at("ok").asBool()) << request;
+        EXPECT_EQ(reply3.at("error").asString(), "bad_request") << request;
+        EXPECT_NE(reply3.at("message").asString().find(field),
+                  std::string::npos)
+            << reply3.at("message").asString();
+    }
+
     // The connection stays healthy after rejected requests.
     EXPECT_TRUE(client.call(pingDoc(9)).at("ok").asBool());
+}
+
+TEST(ServerTest, SweepOrScheduleAtAnotherBandwidthFails)
+{
+    ServerOptions options;
+    options.study = fastStudy(); // 8 GB/s, the records' bandwidth
+    TestServer ts(options);
+
+    Client client;
+    client.connect("127.0.0.1", ts.port());
+
+    // Answering with the 8 GB/s numbers would mislabel them: both ops
+    // fail before computing a row, naming both bandwidths.
+    for (const char *request :
+         {"{\"op\":\"sweep\",\"design\":\"4B\",\"bw\":16}",
+          "{\"op\":\"schedule\",\"design\":\"4B\","
+          "\"benchmarks\":[\"mcf\"],\"bw\":16}"}) {
+        const Json reply = client.call(Json::parse(request));
+        EXPECT_FALSE(reply.at("ok").asBool()) << request;
+        EXPECT_EQ(reply.at("error").asString(), "failed") << request;
+        const std::string message = reply.at("message").asString();
+        EXPECT_NE(message.find("bw 16"), std::string::npos) << message;
+        EXPECT_NE(message.find("bandwidth of 8"), std::string::npos)
+            << message;
+    }
+    EXPECT_EQ(ts.server().engine().resultCache().size(), 0u);
 }
 
 TEST(ServerTest, UnrepresentableIdSurvivesAsBadRequest)

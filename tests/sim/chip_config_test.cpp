@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/log.h"
 #include "sim/chip_config.h"
 
@@ -137,8 +139,10 @@ TEST(ChipConfigTest, ValidationRejectsZeroLlcLatency)
 TEST(ChipConfigTest, ValidationRejectsZeroDramBandwidth)
 {
     ChipConfig cfg = ChipConfig::homogeneous("x", CoreParams::big(), 1);
-    cfg.dram.busBandwidthGBps = 0.0;
-    expectRejected(cfg, "dram.busBandwidthGBps");
+    for (const double bw : {0.0, std::nan(""), 1e-300}) {
+        cfg.dram.busBandwidthGBps = bw;
+        expectRejected(cfg, "dram.busBandwidthGBps");
+    }
 }
 
 } // namespace

@@ -13,12 +13,14 @@
 #include <vector>
 
 #include "common/log.h"
+#include "serve/commands.h"
 #include "study/design_space.h"
 #include "study/figures.h"
 #include "study/study_engine.h"
 #include "trace/spec_profiles.h"
 #include "workload/distributions.h"
 #include "workload/multiprogram.h"
+#include "tests/common/seed_cache.h"
 #include "tests/common/temp_path.h"
 
 namespace smtflex {
@@ -202,6 +204,39 @@ TEST(StudyEngineTest, ConfiguredAppliesBandwidth)
     EXPECT_DOUBLE_EQ(eng.configured(paperDesign("4B")).dram.busBandwidthGBps,
                      16.0);
 }
+
+#ifdef SMTFLEX_SOURCE_DIR
+// A sweep renders the records of its engine's bandwidth: the committed
+// campaign's 16 GB/s records replay on a 16 GB/s engine, and an engine at
+// another bandwidth refuses the request instead of answering for 8 GB/s.
+TEST(StudyEngineTest, SweepAtSixteenGBpsReplaysItsOwnRecords)
+{
+    StudyOptions options; // the committed cache's identity: defaults
+    options.cachePath = seedCacheCopy("smtflex_sweep_bw_cache");
+    StudyEngine at8(options);
+    options.bandwidthGBps = 16.0;
+    StudyEngine at16(options);
+    const std::size_t records = at16.resultCache().size();
+
+    serve::SweepRequest req;
+    req.design = "4B";
+    const std::string text8 = serve::sweepText(at8, req);
+    req.hasBw = true;
+    req.bw = 16.0;
+    const std::string text16 = serve::sweepText(at16, req);
+    EXPECT_NE(text16, text8);
+    EXPECT_NE(text8.find("\n4             2.840"), std::string::npos)
+        << text8;
+    EXPECT_NE(text16.find("\n4             2.981"), std::string::npos)
+        << text16;
+    EXPECT_THROW(serve::sweepText(at8, req), FatalError);
+
+    // Both tables came from the committed records.
+    EXPECT_EQ(at8.resultCache().size(), records);
+    EXPECT_EQ(at16.resultCache().size(), records);
+    removeTestTempFiles(options.cachePath);
+}
+#endif // SMTFLEX_SOURCE_DIR
 
 // A CRC-less legacy line cut right after its key loads as an empty record;
 // decoding it must fail loudly, not read past its end.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the telemetry metric spine: typed values, path validation,
- * counter/gauge/info/series registration, subtree walks, snapshots,
+ * counter/gauge/info registration, subtree walks, snapshots,
  * Prometheus exposition, the attachCounters/StatsProvider helpers, and
  * the one concurrency contract the registry makes — atomic counter cells
  * may be read while another thread bumps them.
@@ -59,34 +59,6 @@ TEST(MetricValueTest, EqualityComparesTagAndPayload)
     // Same numeric value, different tag: not equal.
     EXPECT_FALSE(MetricValue::u64(1) == MetricValue::real(1.0));
     EXPECT_EQ(MetricValue::string("a"), MetricValue::string("a"));
-}
-
-TEST(SeriesTest, UnboundedAppendKeepsEverything)
-{
-    Series s;
-    for (std::uint64_t i = 0; i < 100; ++i)
-        s.append(i * 10, static_cast<double>(i));
-    EXPECT_EQ(s.size(), 100u);
-    EXPECT_EQ(s.points().front().x, 0u);
-    EXPECT_EQ(s.points().back().x, 990u);
-    EXPECT_DOUBLE_EQ(s.last(), 99.0);
-}
-
-TEST(SeriesTest, BoundedSeriesDropsOldest)
-{
-    Series s(3);
-    for (std::uint64_t i = 0; i < 5; ++i)
-        s.append(i, static_cast<double>(i));
-    ASSERT_EQ(s.size(), 3u);
-    EXPECT_EQ(s.points()[0].x, 2u);
-    EXPECT_EQ(s.points()[2].x, 4u);
-}
-
-TEST(SeriesTest, LastOfEmptyIsZero)
-{
-    Series s;
-    EXPECT_TRUE(s.empty());
-    EXPECT_DOUBLE_EQ(s.last(), 0.0);
 }
 
 TEST(MetricPathTest, AcceptsDottedLowercasePaths)
@@ -174,22 +146,21 @@ TEST(MetricRegistryTest, SubtreeWalkStripsPrefixAndRespectsBoundaries)
     EXPECT_EQ(values[1], 2u);
 }
 
-TEST(MetricRegistryTest, SnapshotMaterialisesScalarsButNotSeries)
+TEST(MetricRegistryTest, SnapshotMaterialisesEveryMetric)
 {
     std::uint64_t cell = 9;
     MetricRegistry reg;
     reg.counter("chip.cycles", &cell);
     reg.gaugeReal("chip.freq_ghz", [] { return 2.5; });
-    Series &s = reg.series("chip.ipc");
-    s.append(100, 1.5);
+    EXPECT_FALSE(reg.contains("chip.nope"));
 
     const Snapshot snap = reg.snapshot();
     EXPECT_EQ(snap.size(), 2u);
     EXPECT_TRUE(snap.contains("chip.cycles"));
-    EXPECT_FALSE(snap.contains("chip.ipc"));
+    EXPECT_FALSE(snap.contains("chip.nope"));
     EXPECT_EQ(snap.u64("chip.cycles"), 9u);
     EXPECT_DOUBLE_EQ(snap.at("chip.freq_ghz").numeric(), 2.5);
-    EXPECT_THROW(snap.at("chip.ipc"), FatalError);
+    EXPECT_THROW(snap.at("chip.nope"), FatalError);
 
     // The snapshot is a copy: later producer bumps do not retroact.
     cell = 10;
@@ -199,19 +170,6 @@ TEST(MetricRegistryTest, SnapshotMaterialisesScalarsButNotSeries)
     rebuilt.set("chip.cycles", MetricValue::u64(9));
     rebuilt.set("chip.freq_ghz", MetricValue::real(2.5));
     EXPECT_TRUE(snap == rebuilt);
-}
-
-TEST(MetricRegistryTest, SeriesHandleIsStableAndIdempotent)
-{
-    MetricRegistry reg;
-    Series &a = reg.series("chip.ipc", 4);
-    Series &b = reg.series("chip.ipc", 999); // existing handle wins
-    EXPECT_EQ(&a, &b);
-    a.append(1, 0.5);
-    EXPECT_EQ(b.size(), 1u);
-    EXPECT_FALSE(reg.contains("chip.nope"));
-    // The series' scalar reading is its latest sample.
-    EXPECT_DOUBLE_EQ(reg.read("chip.ipc").asDouble(), 0.5);
 }
 
 TEST(MetricRegistryTest, ExpositionRendersPrometheusText)

@@ -64,6 +64,16 @@ studyOptionsFromArgs(const Args &args)
     return opts;
 }
 
+/** The study options of `sweep` and `schedule`, whose records are keyed
+ * by the engine's bandwidth: --bw selects it. */
+StudyOptions
+studyOptionsAtBandwidth(const Args &args)
+{
+    StudyOptions opts = studyOptionsFromArgs(args);
+    opts.bandwidthGBps = args.getDouble("bw", opts.bandwidthGBps);
+    return opts;
+}
+
 /** The serve options `serve` and `coordinator` share. */
 serve::ServerOptions
 serverOptionsFromArgs(const Args &args)
@@ -229,7 +239,7 @@ cmdSweep(int argc, char **argv)
     wire.sweep = req;
     if (runRemotely(args, wire))
         return 0;
-    StudyEngine eng(studyOptionsFromArgs(args));
+    StudyEngine eng(studyOptionsAtBandwidth(args));
     std::fputs(serve::sweepText(eng, req).c_str(), stdout);
     return 0;
 }
@@ -243,7 +253,7 @@ cmdSchedule(int argc, char **argv)
     if (args.has("figure")) {
         // The DESIGN.md §14 figure: online policies vs the naive and
         // offline-oracle baselines over the reference mixes.
-        StudyEngine eng(studyOptionsFromArgs(args));
+        StudyEngine eng(studyOptionsAtBandwidth(args));
         std::fputs(onlineStudyText(eng).c_str(), stdout);
         return 0;
     }
@@ -265,7 +275,7 @@ cmdSchedule(int argc, char **argv)
     wire.schedule = req;
     if (runRemotely(args, wire))
         return 0;
-    StudyEngine eng(studyOptionsFromArgs(args));
+    StudyEngine eng(studyOptionsAtBandwidth(args));
     std::fputs(serve::scheduleText(eng, req).c_str(), stdout);
     return 0;
 }
